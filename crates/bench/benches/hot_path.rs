@@ -12,7 +12,7 @@
 //! which is how the `bench-regression` gate gets a fresh measurement).
 
 use criterion::black_box;
-use rainbow_cc::{LockManager, LockMode};
+use rainbow_cc::{LockManager, LockMode, LockStep};
 use rainbow_common::protocol::{DeadlockPolicy, ProtocolStack};
 use rainbow_common::txn::TxnSpec;
 use rainbow_common::{ItemId, Operation, SiteId, Timestamp, TxnId, Value, Version};
@@ -257,9 +257,7 @@ fn bench_lock_tables(iters: u64) -> (Throughput, Throughput) {
         for k in 0..4 {
             let item = &ids[t * 16 + ((i as usize + k) % 16)];
             black_box(
-                sharded_ref
-                    .acquire(txn, ts, item, LockMode::Exclusive)
-                    .is_ok(),
+                sharded_ref.request(txn, ts, item, LockMode::Exclusive) == Ok(LockStep::Granted),
             );
         }
         sharded_ref.release_all(txn);

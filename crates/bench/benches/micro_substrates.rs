@@ -5,7 +5,7 @@
 //! regressions that would distort the experiment results.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
-use rainbow_cc::{CcProtocol, LockManager, LockMode, TimestampOrdering, TxnContext};
+use rainbow_cc::{CcProtocol, LockManager, LockMode, LockStep, TimestampOrdering, TxnContext};
 use rainbow_common::config::ItemPlacement;
 use rainbow_common::protocol::DeadlockPolicy;
 use rainbow_common::{ItemId, SiteId, Timestamp, TxnId, Value, Version};
@@ -22,8 +22,10 @@ fn bench_lock_manager(c: &mut Criterion) {
         b.iter(|| {
             seq += 1;
             let txn = TxnId::new(SiteId(0), seq);
-            lm.acquire(txn, Timestamp::new(seq, 0), &item, LockMode::Exclusive)
-                .unwrap();
+            assert_eq!(
+                lm.request(txn, Timestamp::new(seq, 0), &item, LockMode::Exclusive),
+                Ok(LockStep::Granted)
+            );
             lm.release_all(txn);
         });
     });
@@ -36,8 +38,10 @@ fn bench_lock_manager(c: &mut Criterion) {
             seq += 1;
             let txn = TxnId::new(SiteId(0), seq);
             for item in &items {
-                lm.acquire(txn, Timestamp::new(seq, 0), item, LockMode::Shared)
-                    .unwrap();
+                assert_eq!(
+                    lm.request(txn, Timestamp::new(seq, 0), item, LockMode::Shared),
+                    Ok(LockStep::Granted)
+                );
             }
             lm.release_all(txn);
         });

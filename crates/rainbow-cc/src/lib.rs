@@ -12,7 +12,7 @@
 //! modifications".
 //!
 //! * [`lock`] — the strict two-phase-locking lock manager: shared/exclusive
-//!   locks, upgrades, wait queues with timeouts, and the deadlock handling
+//!   locks, upgrades, registered waiters, and the deadlock handling
 //!   policies (wait-for-graph victim selection, wait-die, wound-wait,
 //!   timeout-only);
 //! * [`two_phase_locking`] — the 2PL [`CcProtocol`] built on the lock
@@ -24,7 +24,10 @@
 //!
 //! The CCP instance lives *per site* and manages that site's local copies,
 //! exactly as in Rainbow where remote copies are "read ... or pre-written
-//! ... through CCP" at the copy-holder site.
+//! ... through CCP" at the copy-holder site. No protocol ever blocks: an
+//! access that has to wait answers [`CcDecision::Wait`], and the site's
+//! participant loop parks it until a commit or abort lets it through or its
+//! wait budget runs out.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -35,7 +38,7 @@ pub mod tso;
 pub mod two_phase_locking;
 pub mod types;
 
-pub use lock::{LockError, LockManager, LockMode, DEFAULT_LOCK_SHARDS};
+pub use lock::{LockError, LockManager, LockMode, LockStep, DEFAULT_LOCK_SHARDS};
 pub use mvto::MultiversionTimestampOrdering;
 pub use tso::TimestampOrdering;
 pub use two_phase_locking::TwoPhaseLocking;

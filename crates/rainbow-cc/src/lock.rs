@@ -5,7 +5,7 @@
 //! and all four deadlock-handling policies exposed in the protocol
 //! configuration panel:
 //!
-//! * **wait-for-graph**: the requester blocks; if adding its wait edges
+//! * **wait-for-graph**: the requester waits; if adding its wait edges
 //!   creates a cycle, the requester is aborted as the deadlock victim;
 //! * **wait-die**: an older requester waits, a younger requester is aborted
 //!   immediately ("dies");
@@ -14,9 +14,14 @@
 //! * **timeout-only**: the requester waits and the wait timeout is the only
 //!   deadlock resolution mechanism.
 //!
-//! Waits are always bounded by the configured lock-wait timeout, whatever the
-//! policy, so a distributed deadlock spanning several sites (which no local
-//! wait-for graph can see) is eventually broken as well.
+//! The manager never blocks. [`LockManager::request`] is one step of a lock
+//! request: grant, fail, or register a waiter and answer
+//! [`LockStep::Wait`]. The caller (the site's participant loop) parks a
+//! waiting request, asks again after a release, and withdraws it with
+//! [`LockManager::cancel_wait`] once the configured lock-wait timeout has
+//! passed. Waits are so bounded whatever the policy, and a distributed
+//! deadlock spanning several sites (which no local wait-for graph can see)
+//! is eventually broken as well.
 //!
 //! # Sharding
 //!
@@ -37,12 +42,12 @@
 //! Lock order is strictly `shard → auxiliary`, and no auxiliary lock is ever
 //! held while taking a shard lock, so the layers cannot deadlock each other.
 
-use parking_lot::{Condvar, Mutex, RwLock};
+use parking_lot::{Mutex, RwLock};
 use rainbow_common::protocol::DeadlockPolicy;
 use rainbow_common::{FxHashMap, FxHashSet, ItemId, Timestamp, TxnId};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Lock modes on an item.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,13 +66,23 @@ impl LockMode {
     }
 }
 
+/// A lock request step that did not fail.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LockStep {
+    /// The lock is held.
+    Granted,
+    /// Incompatible holders exist and the policy lets the requester wait:
+    /// it is registered as a waiter. Ask again after a release.
+    Wait,
+}
+
 /// Why a lock request failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LockError {
     /// The request would deadlock (wait-for-graph cycle, or wait-die /
     /// wound-wait ordering said the requester must abort).
     Deadlock,
-    /// The wait timed out.
+    /// The wait timed out (the error a withdrawn wait is reported as).
     Timeout,
     /// The transaction was wounded by an older transaction (wound-wait) and
     /// must abort.
@@ -79,8 +94,8 @@ struct ItemLockState {
     /// Current holders. Invariant: either any number of `Shared` holders or
     /// exactly one `Exclusive` holder.
     holders: Vec<(TxnId, LockMode)>,
-    /// Transactions currently waiting on this item (used for fairness-free
-    /// bookkeeping and diagnostics).
+    /// Transactions currently waiting on this item (bookkeeping and
+    /// diagnostics; waiters are re-asked by their caller, not woken here).
     waiters: VecDeque<TxnId>,
 }
 
@@ -97,26 +112,27 @@ struct ShardTable {
     /// Entries currently idle (no holders, no waiters), kept for reuse
     /// until [`IDLE_SWEEP_THRESHOLD`] triggers a sweep.
     idle_entries: usize,
-    /// Number of transactions currently blocked on this shard's condvar.
-    /// Release paths skip the condvar notification (a futex syscall) when
-    /// nobody is waiting — the overwhelmingly common case.
-    blocked_waiters: usize,
 }
 
 /// Outcome of a grant attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum GrantOutcome {
-    /// Granted, and the transaction newly appears in the holder list.
-    GrantedNew,
-    /// Granted as a re-acquisition or upgrade (already a holder).
-    GrantedAgain,
+    /// Granted.
+    Granted {
+        /// The transaction newly appears in the holder list (not a
+        /// re-acquisition or upgrade).
+        new_holder: bool,
+        /// The transaction was a registered waiter, and no longer is.
+        was_waiting: bool,
+    },
     /// Incompatible with current holders.
     Refused,
 }
 
 impl ShardTable {
     /// Grants `mode` on `item` to `txn` when compatible (including
-    /// re-acquisition and sole-holder upgrades), in a single map probe.
+    /// re-acquisition and sole-holder upgrades), in a single map probe. A
+    /// granted waiter is taken off the waiter list.
     fn try_grant(&mut self, item: &ItemId, txn: TxnId, mode: LockMode) -> GrantOutcome {
         let state = match self.items.entry(item.clone()) {
             std::collections::hash_map::Entry::Occupied(entry) => {
@@ -153,18 +169,26 @@ impl ShardTable {
             // holders exist, so the probe did not create it.
             return GrantOutcome::Refused;
         }
-        match state.holders.iter_mut().find(|(holder, _)| *holder == txn) {
+        let new_holder = match state.holders.iter_mut().find(|(holder, _)| *holder == txn) {
             Some(entry) => {
                 // Upgrade shared → exclusive if requested.
                 if mode == LockMode::Exclusive {
                     entry.1 = LockMode::Exclusive;
                 }
-                GrantOutcome::GrantedAgain
+                false
             }
             None => {
                 state.holders.push((txn, mode));
-                GrantOutcome::GrantedNew
+                true
             }
+        };
+        let waiter = state.waiters.iter().position(|waiter| *waiter == txn);
+        if let Some(pos) = waiter {
+            state.waiters.remove(pos);
+        }
+        GrantOutcome::Granted {
+            new_holder,
+            was_waiting: waiter.is_some(),
         }
     }
 
@@ -185,17 +209,20 @@ impl ShardTable {
     /// when removing the last waiter leaves neither holders nor waiters.
     /// The idle transition only happens when a waiter was actually removed
     /// — otherwise an already-idle cached entry would be counted twice and
-    /// corrupt the idle-entry accounting.
-    fn remove_waiter(&mut self, item: &ItemId, txn: TxnId) {
-        if let Some(state) = self.items.get_mut(item) {
-            if let Some(pos) = state.waiters.iter().position(|waiter| *waiter == txn) {
-                state.waiters.remove(pos);
-                if state.holders.is_empty() && state.waiters.is_empty() {
-                    self.idle_entries += 1;
-                    self.maybe_sweep();
-                }
-            }
+    /// corrupt the idle-entry accounting. Returns whether `txn` was waiting.
+    fn remove_waiter(&mut self, item: &ItemId, txn: TxnId) -> bool {
+        let Some(state) = self.items.get_mut(item) else {
+            return false;
+        };
+        let Some(pos) = state.waiters.iter().position(|waiter| *waiter == txn) else {
+            return false;
+        };
+        state.waiters.remove(pos);
+        if state.holders.is_empty() && state.waiters.is_empty() {
+            self.idle_entries += 1;
+            self.maybe_sweep();
         }
+        true
     }
 
     /// Sweeps cached idle entries once too many accumulate, bounding the
@@ -276,18 +303,11 @@ impl LockStats {
     pub fn wounds(&self) -> u64 {
         self.wounds.load(Ordering::Relaxed)
     }
-    /// Requests that gave up on timeout.
+    /// Waits withdrawn without a grant: timed out, or their transaction was
+    /// decided while they waited.
     pub fn timeouts(&self) -> u64 {
         self.timeouts.load(Ordering::Relaxed)
     }
-}
-
-/// One shard: its slice of the lock table plus the condvar its waiters
-/// block on.
-#[derive(Debug, Default)]
-struct Shard {
-    table: Mutex<ShardTable>,
-    released: Condvar,
 }
 
 /// Default number of lock-table shards (the "shard count knob"; see
@@ -313,7 +333,7 @@ struct TxnMeta {
 pub struct LockManager {
     policy: DeadlockPolicy,
     timeout: Duration,
-    shards: Box<[Shard]>,
+    shards: Box<[Mutex<ShardTable>]>,
     /// Per-transaction metadata, sharded by transaction hash.
     txn_meta: Box<[Mutex<FxHashMap<TxnId, TxnMeta>>]>,
     /// Transactions wounded by an older requester; they must abort. Only
@@ -340,7 +360,7 @@ impl LockManager {
         LockManager {
             policy,
             timeout,
-            shards: (0..count).map(|_| Shard::default()).collect(),
+            shards: (0..count).map(|_| Mutex::default()).collect(),
             txn_meta: (0..TXN_META_SHARDS)
                 .map(|_| Mutex::new(FxHashMap::default()))
                 .collect(),
@@ -353,6 +373,11 @@ impl LockManager {
     /// The configured deadlock policy.
     pub fn policy(&self) -> DeadlockPolicy {
         self.policy
+    }
+
+    /// How long a waiting request may wait before its caller withdraws it.
+    pub fn wait_timeout(&self) -> Duration {
+        self.timeout
     }
 
     /// Number of independently locked shards.
@@ -413,153 +438,117 @@ impl LockManager {
         }
     }
 
-    /// Acquires `mode` on `item` for `txn` (timestamp `ts`), blocking up to
-    /// the configured timeout.
-    pub fn acquire(
+    /// One step of a lock request: grants `mode` on `item` to `txn`
+    /// (timestamp `ts`) when compatible, otherwise applies the deadlock
+    /// policy and either fails the request or registers `txn` as a waiter
+    /// (with its wait-for edges) and answers [`LockStep::Wait`]. It never
+    /// blocks: the caller parks the request and calls again after a
+    /// release, or withdraws it with [`LockManager::cancel_wait`] once
+    /// [`LockManager::wait_timeout`] has passed. A repeated call for a
+    /// request that is already waiting re-evaluates it in place.
+    pub fn request(
         &self,
         txn: TxnId,
         ts: Timestamp,
         item: &ItemId,
         mode: LockMode,
-    ) -> Result<(), LockError> {
-        let deadline = Instant::now() + self.timeout;
-        let shard_index = self.shard_index(item);
-        let shard = &self.shards[shard_index];
-        let mut table = shard.table.lock();
-        let mut waited = false;
-
-        loop {
-            if self.wounded_now(txn) {
-                table.remove_waiter(item, txn);
+    ) -> Result<LockStep, LockError> {
+        let mut table = self.shards[self.shard_index(item)].lock();
+        if self.wounded_now(txn) {
+            table.remove_waiter(item, txn);
+            self.clear_wait_edges(txn);
+            return Err(LockError::Wounded);
+        }
+        if let GrantOutcome::Granted {
+            new_holder,
+            was_waiting,
+        } = table.try_grant(item, txn, mode)
+        {
+            if new_holder {
+                // Record the grant while still inside the shard critical
+                // section, so it is visible to the next `release_all` even
+                // if a racing release already ran.
+                self.note_held(txn, ts, item);
+            }
+            if was_waiting {
                 self.clear_wait_edges(txn);
-                return Err(LockError::Wounded);
             }
-            match table.try_grant(item, txn, mode) {
-                GrantOutcome::Refused => {}
-                outcome => {
-                    if outcome == GrantOutcome::GrantedNew {
-                        // Record the grant while still inside the shard
-                        // critical section, so it is visible to the next
-                        // `release_all` even if a racing release already ran.
-                        self.note_held(txn, ts, item);
-                    }
-                    if waited {
-                        table.remove_waiter(item, txn);
-                        self.clear_wait_edges(txn);
-                    }
-                    self.stats.grants.fetch_add(1, Ordering::Relaxed);
-                    return Ok(());
-                }
-            }
+            self.stats.grants.fetch_add(1, Ordering::Relaxed);
+            return Ok(LockStep::Granted);
+        }
 
-            let conflicts = table.conflicting_holders(item, txn, mode);
+        let conflicts = table.conflicting_holders(item, txn, mode);
 
-            // Apply the deadlock policy before (possibly) waiting. Auxiliary
-            // locks (timestamps / wounded / wait graph) nest *inside* the
-            // shard lock, never the other way around.
-            match self.policy {
-                DeadlockPolicy::WaitDie => {
-                    // The requester may only wait for *younger* holders
-                    // (i.e. the requester must be the oldest). Otherwise it
-                    // dies.
-                    let older_holder_exists = conflicts.iter().any(|holder| {
-                        self.timestamp_of(*holder)
-                            .map(|holder_ts| holder_ts < ts)
-                            .unwrap_or(false)
-                    });
-                    if older_holder_exists {
-                        table.remove_waiter(item, txn);
-                        self.stats.deadlock_aborts.fetch_add(1, Ordering::Relaxed);
-                        return Err(LockError::Deadlock);
-                    }
+        // Apply the deadlock policy before (possibly) waiting. Auxiliary
+        // locks (timestamps / wounded / wait graph) nest *inside* the shard
+        // lock, never the other way around.
+        match self.policy {
+            DeadlockPolicy::WaitDie => {
+                // The requester may only wait for *younger* holders (i.e.
+                // the requester must be the oldest). Otherwise it dies.
+                let older_holder_exists = conflicts.iter().any(|holder| {
+                    self.timestamp_of(*holder)
+                        .map(|holder_ts| holder_ts < ts)
+                        .unwrap_or(false)
+                });
+                if older_holder_exists {
+                    table.remove_waiter(item, txn);
+                    self.stats.deadlock_aborts.fetch_add(1, Ordering::Relaxed);
+                    return Err(LockError::Deadlock);
                 }
-                DeadlockPolicy::WoundWait => {
-                    // An older requester wounds every younger conflicting
-                    // holder; a younger requester just waits.
-                    let mut wounded_someone = false;
-                    for holder in &conflicts {
-                        let younger = self
-                            .timestamp_of(*holder)
-                            .map(|holder_ts| holder_ts > ts)
-                            .unwrap_or(true);
-                        if younger && self.wounded.write().insert(*holder) {
-                            wounded_someone = true;
-                            self.stats.wounds.fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    if wounded_someone {
-                        // Wounded holders discover their fate on their next
-                        // CCP call; wake waiters on *every* shard (a wounded
-                        // transaction may be blocked on any item) so progress
-                        // resumes as soon as they release. Notifying a
-                        // condvar without holding its shard's mutex is safe —
-                        // woken waiters re-check their predicate.
-                        for other in self.shards.iter() {
-                            other.released.notify_all();
-                        }
-                    }
-                }
-                DeadlockPolicy::WaitForGraph => {
-                    // Insert this waiter's edges and run cycle detection in
-                    // one critical section: the check sees a consistent
-                    // global graph regardless of shard concurrency.
-                    let mut graph = self.wait_graph.lock();
-                    graph.edges.insert(txn, conflicts.iter().copied().collect());
-                    if graph.creates_cycle(txn) {
-                        graph.edges.remove(&txn);
-                        drop(graph);
-                        table.remove_waiter(item, txn);
-                        self.stats.deadlock_aborts.fetch_add(1, Ordering::Relaxed);
-                        return Err(LockError::Deadlock);
-                    }
-                }
-                DeadlockPolicy::TimeoutOnly => {}
             }
+            DeadlockPolicy::WoundWait => {
+                // An older requester wounds every younger conflicting
+                // holder; a younger requester just waits. Wounded holders
+                // discover their fate on their next request or at
+                // validation, and release when they abort.
+                for holder in &conflicts {
+                    let younger = self
+                        .timestamp_of(*holder)
+                        .map(|holder_ts| holder_ts > ts)
+                        .unwrap_or(true);
+                    if younger && self.wounded.write().insert(*holder) {
+                        self.stats.wounds.fetch_add(1, Ordering::Relaxed);
+                    }
+                }
+            }
+            DeadlockPolicy::WaitForGraph => {
+                // Insert this waiter's edges and run cycle detection in one
+                // critical section: the check sees a consistent global graph
+                // regardless of shard concurrency.
+                let mut graph = self.wait_graph.lock();
+                graph.edges.insert(txn, conflicts.iter().copied().collect());
+                if graph.creates_cycle(txn) {
+                    graph.edges.remove(&txn);
+                    drop(graph);
+                    table.remove_waiter(item, txn);
+                    self.stats.deadlock_aborts.fetch_add(1, Ordering::Relaxed);
+                    return Err(LockError::Deadlock);
+                }
+            }
+            DeadlockPolicy::TimeoutOnly => {}
+        }
 
-            // Register as a waiter (diagnostics only) and block.
-            {
-                let state = table.items.entry(item.clone()).or_default();
-                if !state.waiters.contains(&txn) {
-                    state.waiters.push_back(txn);
-                }
-            }
-            if !waited {
-                waited = true;
-                self.stats.waits.fetch_add(1, Ordering::Relaxed);
-            }
-            // Under wound-wait the wound flag lives outside this shard's
-            // mutex, so a wound + notify issued between our wounded check
-            // and parking here could be lost; waiting in bounded slices
-            // guarantees the flag is re-checked promptly regardless.
-            let slice = if self.policy == DeadlockPolicy::WoundWait {
-                deadline.min(Instant::now() + Duration::from_millis(25))
-            } else {
-                deadline
-            };
-            table.blocked_waiters += 1;
-            let _slice_expired = shard.released.wait_until(&mut table, slice).timed_out();
-            table.blocked_waiters -= 1;
-            let timed_out = Instant::now() >= deadline;
-            if timed_out {
-                table.remove_waiter(item, txn);
-                self.clear_wait_edges(txn);
-                // One last chance: the lock may have been released exactly at
-                // the deadline.
-                if !self.wounded_now(txn) {
-                    match table.try_grant(item, txn, mode) {
-                        GrantOutcome::Refused => {}
-                        outcome => {
-                            if outcome == GrantOutcome::GrantedNew {
-                                self.note_held(txn, ts, item);
-                            }
-                            self.stats.grants.fetch_add(1, Ordering::Relaxed);
-                            return Ok(());
-                        }
-                    }
-                }
-                self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
-                return Err(LockError::Timeout);
-            }
+        // Register as a waiter (counted once per request).
+        let state = table.items.entry(item.clone()).or_default();
+        if !state.waiters.contains(&txn) {
+            state.waiters.push_back(txn);
+            self.stats.waits.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(LockStep::Wait)
+    }
+
+    /// Withdraws a request that answered [`LockStep::Wait`]: its wait timed
+    /// out, or its transaction was decided while it waited. Removes the
+    /// waiter and its wait-for edges; a no-op when `txn` is not waiting on
+    /// `item`.
+    pub fn cancel_wait(&self, txn: TxnId, item: &ItemId) {
+        let removed = self.shards[self.shard_index(item)]
+            .lock()
+            .remove_waiter(item, txn);
+        if removed {
+            self.clear_wait_edges(txn);
+            self.stats.timeouts.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -575,8 +564,7 @@ impl LockManager {
             None => Vec::new(),
         };
         for item in &held {
-            let shard = &self.shards[self.shard_index(item)];
-            let mut table = shard.table.lock();
+            let mut table = self.shards[self.shard_index(item)].lock();
             if let Some(state) = table.items.get_mut(item) {
                 // Index-based removal instead of an O(n) retain scan; a
                 // transaction appears at most once per holder list.
@@ -587,11 +575,6 @@ impl LockManager {
                     table.idle_entries += 1;
                     table.maybe_sweep();
                 }
-            }
-            let somebody_waits = table.blocked_waiters > 0;
-            drop(table);
-            if somebody_waits {
-                shard.released.notify_all();
             }
         }
         if self.policy == DeadlockPolicy::WoundWait {
@@ -621,6 +604,27 @@ impl LockManager {
         self.txn_meta.iter().map(|shard| shard.lock().len()).sum()
     }
 
+    /// Requests currently registered as waiting, across all shards.
+    pub fn waiters(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|shard| {
+                let table = shard.lock();
+                table
+                    .items
+                    .values()
+                    .map(|state| state.waiters.len())
+                    .sum::<usize>()
+            })
+            .sum()
+    }
+
+    /// Transactions with outgoing wait-for edges (always 0 unless the
+    /// policy is [`DeadlockPolicy::WaitForGraph`]).
+    pub fn wait_edges(&self) -> usize {
+        self.wait_graph.lock().edges.len()
+    }
+
     /// Total number of *live* per-item entries (holding locks or queueing
     /// waiters) across all shards. Idle entries are cached for reuse up to
     /// a bounded threshold and periodically swept, so the table's footprint
@@ -628,7 +632,7 @@ impl LockManager {
     pub fn item_entries(&self) -> usize {
         self.shards
             .iter()
-            .map(|shard| shard.table.lock().live_entries())
+            .map(|shard| shard.lock().live_entries())
             .sum()
     }
 }
@@ -636,8 +640,6 @@ impl LockManager {
 mod tests {
     use super::*;
     use rainbow_common::SiteId;
-    use std::sync::Arc;
-    use std::thread;
 
     fn txn(seq: u64) -> TxnId {
         TxnId::new(SiteId(0), seq)
@@ -655,13 +657,20 @@ mod tests {
         LockManager::new(policy, Duration::from_millis(100))
     }
 
+    /// Requests `mode` for `seq` (timestamp `seq`'s counter `at`).
+    fn ask(lm: &LockManager, seq: u64, at: u64, name: &str, mode: LockMode) -> LockOutcome {
+        lm.request(txn(seq), ts(at), &item(name), mode)
+    }
+
+    type LockOutcome = Result<LockStep, LockError>;
+    const GRANTED: LockOutcome = Ok(LockStep::Granted);
+    const WAIT: LockOutcome = Ok(LockStep::Wait);
+
     #[test]
     fn shared_locks_are_compatible() {
         let lm = manager(DeadlockPolicy::WaitForGraph);
-        lm.acquire(txn(1), ts(1), &item("x"), LockMode::Shared)
-            .unwrap();
-        lm.acquire(txn(2), ts(2), &item("x"), LockMode::Shared)
-            .unwrap();
+        assert_eq!(ask(&lm, 1, 1, "x", LockMode::Shared), GRANTED);
+        assert_eq!(ask(&lm, 2, 2, "x", LockMode::Shared), GRANTED);
         assert_eq!(lm.active_transactions(), 2);
         assert_eq!(lm.stats().grants(), 2);
         assert_eq!(lm.stats().waits(), 0);
@@ -669,141 +678,126 @@ mod tests {
 
     #[test]
     fn exclusive_conflicts_block_until_release() {
-        let lm = Arc::new(manager(DeadlockPolicy::TimeoutOnly));
-        lm.acquire(txn(1), ts(1), &item("x"), LockMode::Exclusive)
-            .unwrap();
-
-        let lm2 = Arc::clone(&lm);
-        let waiter =
-            thread::spawn(move || lm2.acquire(txn(2), ts(2), &item("x"), LockMode::Shared));
-        thread::sleep(Duration::from_millis(20));
+        let lm = manager(DeadlockPolicy::TimeoutOnly);
+        assert_eq!(ask(&lm, 1, 1, "x", LockMode::Exclusive), GRANTED);
+        assert_eq!(ask(&lm, 2, 2, "x", LockMode::Shared), WAIT);
+        // Asking again while the holder still holds keeps waiting, and the
+        // wait is counted once.
+        assert_eq!(ask(&lm, 2, 2, "x", LockMode::Shared), WAIT);
+        assert_eq!(lm.stats().waits(), 1);
         lm.release_all(txn(1));
-        assert_eq!(waiter.join().unwrap(), Ok(()));
+        assert_eq!(ask(&lm, 2, 2, "x", LockMode::Shared), GRANTED);
         assert!(lm.held_by(txn(2)).contains(&item("x")));
-        assert!(lm.stats().waits() >= 1);
+        lm.release_all(txn(2));
+        assert_eq!(lm.item_entries(), 0, "the granted waiter left no entry");
     }
 
     #[test]
     fn conflicting_request_times_out() {
         let lm = manager(DeadlockPolicy::TimeoutOnly);
-        lm.acquire(txn(1), ts(1), &item("x"), LockMode::Exclusive)
-            .unwrap();
-        let start = Instant::now();
-        let result = lm.acquire(txn(2), ts(2), &item("x"), LockMode::Exclusive);
-        assert_eq!(result, Err(LockError::Timeout));
-        assert!(start.elapsed() >= Duration::from_millis(90));
+        assert_eq!(lm.wait_timeout(), Duration::from_millis(100));
+        assert_eq!(ask(&lm, 1, 1, "x", LockMode::Exclusive), GRANTED);
+        assert_eq!(ask(&lm, 2, 2, "x", LockMode::Exclusive), WAIT);
+        // The caller's deadline passes: it withdraws the wait.
+        lm.cancel_wait(txn(2), &item("x"));
         assert_eq!(lm.stats().timeouts(), 1);
+        // Withdrawing twice (or a request that never waited) is a no-op.
+        lm.cancel_wait(txn(2), &item("x"));
+        lm.cancel_wait(txn(3), &item("y"));
+        assert_eq!(lm.stats().timeouts(), 1);
+        lm.release_all(txn(1));
+        assert_eq!(lm.item_entries(), 0, "no waiter left behind");
     }
 
     #[test]
     fn reacquisition_and_upgrade() {
         let lm = manager(DeadlockPolicy::WaitForGraph);
-        let t = txn(1);
-        lm.acquire(t, ts(1), &item("x"), LockMode::Shared).unwrap();
-        // Re-acquiring the same or weaker lock is a no-op.
-        lm.acquire(t, ts(1), &item("x"), LockMode::Shared).unwrap();
-        // Upgrade succeeds because t is the sole holder.
-        lm.acquire(t, ts(1), &item("x"), LockMode::Exclusive)
-            .unwrap();
-        // Exclusive holder can "downgrade-request" shared: still granted.
-        lm.acquire(t, ts(1), &item("x"), LockMode::Shared).unwrap();
-        assert_eq!(lm.held_by(t), vec![item("x")]);
+        // Re-acquiring the same or weaker lock is a no-op; the upgrade
+        // succeeds because txn 1 is the sole holder; an exclusive holder
+        // asking for shared is still granted.
+        for mode in [
+            LockMode::Shared,
+            LockMode::Shared,
+            LockMode::Exclusive,
+            LockMode::Shared,
+        ] {
+            assert_eq!(ask(&lm, 1, 1, "x", mode), GRANTED);
+        }
+        assert_eq!(lm.held_by(txn(1)), vec![item("x")]);
 
         // Another reader cannot get in now.
-        assert_eq!(
-            lm.acquire(txn(2), ts(2), &item("x"), LockMode::Shared),
-            Err(LockError::Timeout)
-        );
+        assert_eq!(ask(&lm, 2, 2, "x", LockMode::Shared), WAIT);
     }
 
     #[test]
     fn upgrade_blocked_by_other_readers_times_out() {
         let lm = manager(DeadlockPolicy::TimeoutOnly);
-        lm.acquire(txn(1), ts(1), &item("x"), LockMode::Shared)
-            .unwrap();
-        lm.acquire(txn(2), ts(2), &item("x"), LockMode::Shared)
-            .unwrap();
-        assert_eq!(
-            lm.acquire(txn(1), ts(1), &item("x"), LockMode::Exclusive),
-            Err(LockError::Timeout)
-        );
+        assert_eq!(ask(&lm, 1, 1, "x", LockMode::Shared), GRANTED);
+        assert_eq!(ask(&lm, 2, 2, "x", LockMode::Shared), GRANTED);
+        assert_eq!(ask(&lm, 1, 1, "x", LockMode::Exclusive), WAIT);
+        lm.cancel_wait(txn(1), &item("x"));
+        assert_eq!(lm.stats().timeouts(), 1);
+        // Once the other reader leaves, the upgrade goes through.
+        lm.release_all(txn(2));
+        assert_eq!(ask(&lm, 1, 1, "x", LockMode::Exclusive), GRANTED);
     }
 
     #[test]
     fn wait_for_graph_detects_two_party_deadlock() {
-        let lm = Arc::new(LockManager::new(
-            DeadlockPolicy::WaitForGraph,
-            Duration::from_millis(500),
-        ));
+        let lm = manager(DeadlockPolicy::WaitForGraph);
         // T1 holds x, T2 holds y.
-        lm.acquire(txn(1), ts(1), &item("x"), LockMode::Exclusive)
-            .unwrap();
-        lm.acquire(txn(2), ts(2), &item("y"), LockMode::Exclusive)
-            .unwrap();
-
-        // T1 waits for y in a background thread.
-        let lm1 = Arc::clone(&lm);
-        let h1 = thread::spawn(move || lm1.acquire(txn(1), ts(1), &item("y"), LockMode::Exclusive));
-        thread::sleep(Duration::from_millis(30));
+        assert_eq!(ask(&lm, 1, 1, "x", LockMode::Exclusive), GRANTED);
+        assert_eq!(ask(&lm, 2, 2, "y", LockMode::Exclusive), GRANTED);
+        // T1 waits for y.
+        assert_eq!(ask(&lm, 1, 1, "y", LockMode::Exclusive), WAIT);
         // T2 requests x: the wait-for graph now has a cycle, T2 is the victim.
-        let result = lm.acquire(txn(2), ts(2), &item("x"), LockMode::Exclusive);
-        assert_eq!(result, Err(LockError::Deadlock));
+        assert_eq!(
+            ask(&lm, 2, 2, "x", LockMode::Exclusive),
+            Err(LockError::Deadlock)
+        );
         assert!(lm.stats().deadlock_aborts() >= 1);
 
         // Victim aborts, releasing y; T1's wait completes.
         lm.release_all(txn(2));
-        assert_eq!(h1.join().unwrap(), Ok(()));
+        assert_eq!(ask(&lm, 1, 1, "y", LockMode::Exclusive), GRANTED);
     }
 
     #[test]
     fn wait_die_aborts_younger_requesters() {
         let lm = manager(DeadlockPolicy::WaitDie);
         // Older transaction (smaller ts) holds the lock.
-        lm.acquire(txn(1), ts(1), &item("x"), LockMode::Exclusive)
-            .unwrap();
-        // Younger requester dies immediately.
-        let start = Instant::now();
+        assert_eq!(ask(&lm, 1, 1, "x", LockMode::Exclusive), GRANTED);
+        // Younger requester dies at once: no wait is registered.
         assert_eq!(
-            lm.acquire(txn(2), ts(5), &item("x"), LockMode::Exclusive),
+            ask(&lm, 2, 5, "x", LockMode::Exclusive),
             Err(LockError::Deadlock)
         );
-        assert!(
-            start.elapsed() < Duration::from_millis(50),
-            "die must be immediate"
-        );
         assert_eq!(lm.stats().deadlock_aborts(), 1);
+        assert_eq!(lm.stats().waits(), 0);
     }
 
     #[test]
     fn wait_die_lets_older_requesters_wait() {
-        let lm = Arc::new(manager(DeadlockPolicy::WaitDie));
+        let lm = manager(DeadlockPolicy::WaitDie);
         // Younger transaction holds the lock.
-        lm.acquire(txn(2), ts(5), &item("x"), LockMode::Exclusive)
-            .unwrap();
-        let lm2 = Arc::clone(&lm);
-        let older =
-            thread::spawn(move || lm2.acquire(txn(1), ts(1), &item("x"), LockMode::Exclusive));
-        thread::sleep(Duration::from_millis(20));
+        assert_eq!(ask(&lm, 2, 5, "x", LockMode::Exclusive), GRANTED);
+        assert_eq!(ask(&lm, 1, 1, "x", LockMode::Exclusive), WAIT);
         lm.release_all(txn(2));
-        assert_eq!(older.join().unwrap(), Ok(()));
+        assert_eq!(ask(&lm, 1, 1, "x", LockMode::Exclusive), GRANTED);
     }
 
     #[test]
     fn wound_wait_wounds_younger_holders() {
-        let lm = Arc::new(manager(DeadlockPolicy::WoundWait));
+        let lm = manager(DeadlockPolicy::WoundWait);
         // Younger transaction holds the lock.
-        lm.acquire(txn(2), ts(5), &item("x"), LockMode::Exclusive)
-            .unwrap();
+        assert_eq!(ask(&lm, 2, 5, "x", LockMode::Exclusive), GRANTED);
         // Older requester wounds it and waits.
-        let lm2 = Arc::clone(&lm);
-        let older =
-            thread::spawn(move || lm2.acquire(txn(1), ts(1), &item("x"), LockMode::Exclusive));
-        thread::sleep(Duration::from_millis(20));
+        assert_eq!(ask(&lm, 1, 1, "x", LockMode::Exclusive), WAIT);
         assert!(lm.is_wounded(txn(2)), "younger holder must be wounded");
         assert!(lm.stats().wounds() >= 1);
         // The wounded holder aborts and releases; the older requester gets the lock.
         lm.release_all(txn(2));
-        assert_eq!(older.join().unwrap(), Ok(()));
+        assert_eq!(ask(&lm, 1, 1, "x", LockMode::Exclusive), GRANTED);
         // After release_all the wounded flag is cleared for reuse of the id.
         assert!(!lm.is_wounded(txn(2)));
     }
@@ -811,42 +805,40 @@ mod tests {
     #[test]
     fn wound_wait_younger_requester_waits_without_wounding() {
         let lm = manager(DeadlockPolicy::WoundWait);
-        lm.acquire(txn(1), ts(1), &item("x"), LockMode::Exclusive)
-            .unwrap();
-        // Younger requester: no wound, just a (timed-out) wait.
-        assert_eq!(
-            lm.acquire(txn(2), ts(5), &item("x"), LockMode::Exclusive),
-            Err(LockError::Timeout)
-        );
+        assert_eq!(ask(&lm, 1, 1, "x", LockMode::Exclusive), GRANTED);
+        // Younger requester: no wound, just a wait.
+        assert_eq!(ask(&lm, 2, 5, "x", LockMode::Exclusive), WAIT);
         assert!(!lm.is_wounded(txn(1)));
         assert_eq!(lm.stats().wounds(), 0);
     }
 
     #[test]
     fn wounded_transaction_is_rejected_on_next_acquire() {
-        let lm = Arc::new(manager(DeadlockPolicy::WoundWait));
-        lm.acquire(txn(2), ts(5), &item("x"), LockMode::Exclusive)
-            .unwrap();
-        let lm2 = Arc::clone(&lm);
-        let older =
-            thread::spawn(move || lm2.acquire(txn(1), ts(1), &item("x"), LockMode::Exclusive));
-        thread::sleep(Duration::from_millis(20));
-        // The wounded transaction tries to lock something else: rejected.
+        let lm = manager(DeadlockPolicy::WoundWait);
+        assert_eq!(ask(&lm, 2, 5, "x", LockMode::Exclusive), GRANTED);
+        // The younger holder is itself waiting on y when it is wounded.
+        assert_eq!(ask(&lm, 3, 3, "y", LockMode::Exclusive), GRANTED);
+        assert_eq!(ask(&lm, 2, 5, "y", LockMode::Shared), WAIT);
+        assert_eq!(ask(&lm, 1, 1, "x", LockMode::Exclusive), WAIT);
+        // The wounded transaction's next step (its parked wait, or a new
+        // request) is rejected, and its wait is gone.
         assert_eq!(
-            lm.acquire(txn(2), ts(5), &item("y"), LockMode::Shared),
+            ask(&lm, 2, 5, "y", LockMode::Shared),
+            Err(LockError::Wounded)
+        );
+        assert_eq!(
+            ask(&lm, 2, 5, "z", LockMode::Shared),
             Err(LockError::Wounded)
         );
         lm.release_all(txn(2));
-        assert_eq!(older.join().unwrap(), Ok(()));
+        assert_eq!(ask(&lm, 1, 1, "x", LockMode::Exclusive), GRANTED);
     }
 
     #[test]
     fn release_all_clears_bookkeeping() {
         let lm = manager(DeadlockPolicy::WaitForGraph);
-        lm.acquire(txn(1), ts(1), &item("x"), LockMode::Exclusive)
-            .unwrap();
-        lm.acquire(txn(1), ts(1), &item("y"), LockMode::Shared)
-            .unwrap();
+        assert_eq!(ask(&lm, 1, 1, "x", LockMode::Exclusive), GRANTED);
+        assert_eq!(ask(&lm, 1, 1, "y", LockMode::Shared), GRANTED);
         assert_eq!(lm.held_by(txn(1)).len(), 2);
         lm.release_all(txn(1));
         assert!(lm.held_by(txn(1)).is_empty());
@@ -857,30 +849,36 @@ mod tests {
 
     #[test]
     fn three_way_deadlock_is_broken() {
-        let lm = Arc::new(LockManager::new(
-            DeadlockPolicy::WaitForGraph,
-            Duration::from_millis(800),
-        ));
-        lm.acquire(txn(1), ts(1), &item("a"), LockMode::Exclusive)
-            .unwrap();
-        lm.acquire(txn(2), ts(2), &item("b"), LockMode::Exclusive)
-            .unwrap();
-        lm.acquire(txn(3), ts(3), &item("c"), LockMode::Exclusive)
-            .unwrap();
-
-        let lm1 = Arc::clone(&lm);
-        let h1 = thread::spawn(move || lm1.acquire(txn(1), ts(1), &item("b"), LockMode::Exclusive));
-        let lm2 = Arc::clone(&lm);
-        let h2 = thread::spawn(move || lm2.acquire(txn(2), ts(2), &item("c"), LockMode::Exclusive));
-        thread::sleep(Duration::from_millis(50));
+        let lm = manager(DeadlockPolicy::WaitForGraph);
+        for (seq, name) in [(1, "a"), (2, "b"), (3, "c")] {
+            assert_eq!(ask(&lm, seq, seq, name, LockMode::Exclusive), GRANTED);
+        }
+        assert_eq!(ask(&lm, 1, 1, "b", LockMode::Exclusive), WAIT);
+        assert_eq!(ask(&lm, 2, 2, "c", LockMode::Exclusive), WAIT);
         // Closing the cycle: T3 -> a (held by T1). T3 must be chosen as victim.
-        let r3 = lm.acquire(txn(3), ts(3), &item("a"), LockMode::Exclusive);
-        assert_eq!(r3, Err(LockError::Deadlock));
+        assert_eq!(
+            ask(&lm, 3, 3, "a", LockMode::Exclusive),
+            Err(LockError::Deadlock)
+        );
         lm.release_all(txn(3));
         // T2 can now proceed, then T1.
-        assert_eq!(h2.join().unwrap(), Ok(()));
+        assert_eq!(ask(&lm, 1, 1, "b", LockMode::Exclusive), WAIT);
+        assert_eq!(ask(&lm, 2, 2, "c", LockMode::Exclusive), GRANTED);
         lm.release_all(txn(2));
-        assert_eq!(h1.join().unwrap(), Ok(()));
+        assert_eq!(ask(&lm, 1, 1, "b", LockMode::Exclusive), GRANTED);
+    }
+
+    #[test]
+    fn cancelled_wait_leaves_no_wait_for_edge() {
+        let lm = manager(DeadlockPolicy::WaitForGraph);
+        assert_eq!(ask(&lm, 1, 1, "x", LockMode::Exclusive), GRANTED);
+        assert_eq!(ask(&lm, 2, 2, "y", LockMode::Exclusive), GRANTED);
+        assert_eq!(ask(&lm, 1, 1, "y", LockMode::Exclusive), WAIT);
+        assert_eq!(lm.wait_edges(), 1);
+        lm.cancel_wait(txn(1), &item("y"));
+        assert_eq!(lm.wait_edges(), 0);
+        // With T1's edge gone, T2 waiting on x closes no cycle.
+        assert_eq!(ask(&lm, 2, 2, "x", LockMode::Exclusive), WAIT);
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! multi-versioning TSO" as a term-project extension; this module implements
 //! it. Each item keeps a chain of committed versions tagged with the writing
 //! transaction's timestamp; reads are served by the youngest version older
-//! than the reader and never block. A read is rejected only when an *older*
-//! transaction's pre-write is still pending on the item (serving it would
-//! skip the version that write is about to insert). Writes are rejected
+//! than the reader. A read waits ([`CcDecision::Wait`]) only while an
+//! *older* transaction's pre-write is still pending on the item (serving it
+//! would skip the version that write is about to insert). Writes are rejected
 //! only when they would invalidate a read that has already been granted
 //! (i.e. a version older than the writer has been read by a transaction
 //! younger than the writer).
@@ -16,6 +16,7 @@ use parking_lot::Mutex;
 use rainbow_common::txn::AbortCause;
 use rainbow_common::{ItemId, Timestamp, TxnId, Value, Version};
 use std::collections::{HashMap, HashSet};
+use std::time::Duration;
 
 #[derive(Debug, Clone)]
 struct VersionEntry {
@@ -76,13 +77,13 @@ pub struct MultiversionTimestampOrdering {
     floor: Mutex<Timestamp>,
     /// How long a read may wait for an older transaction's pending
     /// pre-write to resolve before being rejected. Zero (the [`Default`])
-    /// rejects immediately.
-    wait_budget: std::time::Duration,
+    /// rejects it as soon as it is found waiting.
+    wait_budget: Duration,
 }
 
 impl MultiversionTimestampOrdering {
     /// Creates an MVTO instance (with a zero wait budget: reads racing an
-    /// older pending pre-write are rejected immediately; see
+    /// older pending pre-write are rejected at once; see
     /// [`MultiversionTimestampOrdering::with_wait_budget`]).
     pub fn new() -> Self {
         MultiversionTimestampOrdering::default()
@@ -91,7 +92,7 @@ impl MultiversionTimestampOrdering {
     /// Lets reads racing an older pending pre-write wait up to `budget` for
     /// it to resolve, preserving MVTO's readers-(almost)-never-abort
     /// property under contention while staying bounded.
-    pub fn with_wait_budget(mut self, budget: std::time::Duration) -> Self {
+    pub fn with_wait_budget(mut self, budget: Duration) -> Self {
         self.wait_budget = budget;
         self
     }
@@ -139,52 +140,38 @@ impl CcProtocol for MultiversionTimestampOrdering {
         // A pending pre-write by a smaller-timestamped *other* transaction
         // would insert a version between the one this read would pick and
         // the reader — serving the read now silently skips that version
-        // (lost update once both commit). Wait, bounded by the wait budget,
-        // for the pending write to resolve; reject when the budget runs
-        // out so the protocol stays non-blocking overall. The grant happens
-        // under the same lock acquisition as the final pending check, so no
-        // new pre-write can slip in between.
-        let deadline = std::time::Instant::now() + self.wait_budget;
-        loop {
-            {
-                let mut items = self.items.lock();
-                let entry = items.entry(item.clone()).or_default();
-                entry.seed_if_empty(&current);
-                let blocked = entry
-                    .pending_writes
-                    .iter()
-                    .filter(|(id, _)| **id != txn.id)
-                    .map(|(_, ts)| *ts)
-                    .min()
-                    .is_some_and(|pending| txn.ts > pending);
-                if !blocked {
-                    let Some(index) = entry.visible_index(txn.ts) else {
-                        // Nothing is visible below this timestamp — can only
-                        // happen if the initial version is younger than the
-                        // reader, which the ZERO-seed prevents; treat as a
-                        // violation defensively.
-                        return CcDecision::Rejected(AbortCause::CcpTimestampViolation {
-                            item: item.clone(),
-                            rejected: txn.ts,
-                        });
-                    };
-                    let version = &mut entry.versions[index];
-                    version.rts = version.rts.max(txn.ts);
-                    let override_pair = (version.value.clone(), version.version);
-                    drop(items);
-                    self.track(txn.id, item);
-                    return CcDecision::Granted {
-                        value_override: Some(override_pair),
-                    };
-                }
-            }
-            if std::time::Instant::now() >= deadline {
-                return CcDecision::Rejected(AbortCause::CcpTimestampViolation {
-                    item: item.clone(),
-                    rejected: txn.ts,
-                });
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
+        // (lost update once both commit). Wait for the pending write to
+        // resolve. The grant happens under the same lock acquisition as the
+        // pending check, so no new pre-write can slip in between.
+        let mut items = self.items.lock();
+        let entry = items.entry(item.clone()).or_default();
+        entry.seed_if_empty(&current);
+        let blocked = entry
+            .pending_writes
+            .iter()
+            .filter(|(id, _)| **id != txn.id)
+            .map(|(_, ts)| *ts)
+            .min()
+            .is_some_and(|pending| txn.ts > pending);
+        if blocked {
+            return CcDecision::Wait;
+        }
+        let Some(index) = entry.visible_index(txn.ts) else {
+            // Nothing is visible below this timestamp — can only happen if
+            // the initial version is younger than the reader, which the
+            // ZERO-seed prevents; treat as a violation defensively.
+            return CcDecision::Rejected(AbortCause::CcpTimestampViolation {
+                item: item.clone(),
+                rejected: txn.ts,
+            });
+        };
+        let version = &mut entry.versions[index];
+        version.rts = version.rts.max(txn.ts);
+        let override_pair = (version.value.clone(), version.version);
+        drop(items);
+        self.track(txn.id, item);
+        CcDecision::Granted {
+            value_override: Some(override_pair),
         }
     }
 
@@ -222,6 +209,18 @@ impl CcProtocol for MultiversionTimestampOrdering {
         drop(items);
         self.track(txn.id, item);
         CcDecision::granted()
+    }
+
+    fn wait_budget(&self) -> Duration {
+        self.wait_budget
+    }
+
+    fn cancel_wait(&self, txn: &TxnContext, item: &ItemId) -> AbortCause {
+        // A waiting read registers nothing: rejecting it is all there is.
+        AbortCause::CcpTimestampViolation {
+            item: item.clone(),
+            rejected: txn.ts,
+        }
     }
 
     fn validate(&self, _txn: &TxnContext) -> CcDecision {
@@ -327,22 +326,16 @@ mod tests {
 
     #[test]
     fn blocked_read_waits_and_then_sees_the_new_version() {
-        use std::sync::Arc;
-        use std::time::Duration;
-        let cc = Arc::new(
-            MultiversionTimestampOrdering::new().with_wait_budget(Duration::from_millis(500)),
-        );
-        assert!(cc.prewrite(&ctx(1, 10), &item("x"), current()).is_granted());
-        let cc2 = Arc::clone(&cc);
-        let resolver = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            cc2.commit(&ctx(1, 10), &[(item("x"), Value::Int(7), Version(1))]);
-        });
+        let cc = MultiversionTimestampOrdering::new().with_wait_budget(Duration::from_millis(500));
+        assert_eq!(cc.wait_budget(), Duration::from_millis(500));
+        let writer = ctx(1, 10);
+        assert!(cc.prewrite(&writer, &item("x"), current()).is_granted());
         // The ts-20 reader waits out the ts-10 pending write and then reads
         // the version it inserted instead of silently skipping it.
         let reader = ctx(2, 20);
+        assert_eq!(cc.read(&reader, &item("x"), current()), CcDecision::Wait);
+        cc.commit(&writer, &[(item("x"), Value::Int(7), Version(1))]);
         assert_eq!(read_value(&cc, &reader, "x"), Value::Int(7));
-        resolver.join().unwrap();
     }
 
     #[test]

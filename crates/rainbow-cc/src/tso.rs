@@ -13,10 +13,10 @@
 //!
 //! * `read(x, ts)`  : rejected if `ts < wts(x)`. While another transaction
 //!   holds a pending pre-write with a smaller timestamp, the read *waits*
-//!   (bounded by the wait budget) for it to resolve — serving it early
-//!   would observe the value that write is about to supersede while being
-//!   ordered after it, a lost update. Granted reads set
-//!   `rts(x) = max(rts(x), ts)`;
+//!   ([`CcDecision::Wait`], bounded by the wait budget) for it to resolve —
+//!   serving it early would observe the value that write is about to
+//!   supersede while being ordered after it, a lost update. Granted reads
+//!   set `rts(x) = max(rts(x), ts)`;
 //! * `write(x, ts)` : rejected if `ts < rts(x)` or `ts < wts(x)`; otherwise a
 //!   pending pre-write is recorded;
 //! * `commit`       : pending writes become committed, `wts(x) = max(wts(x), ts)`;
@@ -26,15 +26,17 @@
 //! prewrite/read queue: a reader ordered after a pending write waits for
 //! that write's decision instead of either observing the superseded value
 //! (a lost update — found by the chaos harness) or aborting immediately.
-//! The wait budget keeps the protocol bounded, and the implementation
-//! simple enough for students to replace (a Rainbow design goal).
+//! The protocol itself never blocks: the site parks the waiting read, asks
+//! again after the writer's commit or abort, and withdraws it once the wait
+//! budget runs out. That keeps the implementation simple enough for
+//! students to replace (a Rainbow design goal).
 
 use crate::types::{CcDecision, CcProtocol, TxnContext};
 use parking_lot::Mutex;
 use rainbow_common::txn::AbortCause;
 use rainbow_common::{ItemId, Timestamp, TxnId, Value, Version};
 use std::collections::{BTreeMap, HashMap, HashSet};
-use std::time::Instant;
+use std::time::Duration;
 
 #[derive(Debug, Default, Clone)]
 struct ItemTimestamps {
@@ -58,23 +60,23 @@ pub struct TimestampOrdering {
     /// rejected because the pre-crash `rts`/`wts` they might conflict with
     /// were lost with the volatile tables.
     floor: Mutex<Timestamp>,
-    /// How long a read blocked behind an earlier transaction's pending
+    /// How long a read waiting behind an earlier transaction's pending
     /// pre-write may wait for that write to resolve before being rejected.
-    /// Zero (the [`Default`]) rejects immediately.
-    wait_budget: std::time::Duration,
+    /// Zero (the [`Default`]) rejects it as soon as it is found waiting.
+    wait_budget: Duration,
 }
 
 impl TimestampOrdering {
-    /// Creates a TSO instance (with a zero wait budget: blocked reads are
-    /// rejected immediately; see [`TimestampOrdering::with_wait_budget`]).
+    /// Creates a TSO instance (with a zero wait budget: waiting reads are
+    /// rejected at once; see [`TimestampOrdering::with_wait_budget`]).
     pub fn new() -> Self {
         TimestampOrdering::default()
     }
 
-    /// Lets reads blocked behind an earlier pending pre-write wait up to
+    /// Lets reads waiting behind an earlier pending pre-write wait up to
     /// `budget` for it to resolve (the prewrite-queue behaviour of textbook
     /// TSO, bounded so the protocol stays non-blocking overall).
-    pub fn with_wait_budget(mut self, budget: std::time::Duration) -> Self {
+    pub fn with_wait_budget(mut self, budget: Duration) -> Self {
         self.wait_budget = budget;
         self
     }
@@ -112,47 +114,32 @@ impl CcProtocol for TimestampOrdering {
         // the writer — the lost-update the chaos harness reproduces when
         // two read-modify-writes race. (The transaction's own pending
         // pre-write never blocks its own read: read-for-update issues the
-        // pre-write first.) Such a read waits, bounded by the wait budget,
-        // for the pending write to resolve — the prewrite-queue behaviour
-        // of textbook TSO — and is rejected when the budget runs out.
-        let deadline = Instant::now() + self.wait_budget;
-        loop {
-            {
-                let mut items = self.items.lock();
-                let entry = items.entry(item.clone()).or_default();
-                // Reading behind a committed write is too late no matter
-                // what the pending writes resolve to (wts never decreases),
-                // so reject before deciding to wait.
-                if txn.ts < entry.wts {
-                    return CcDecision::Rejected(AbortCause::CcpTimestampViolation {
-                        item: item.clone(),
-                        rejected: txn.ts,
-                    });
-                }
-                let earliest_other_pending = entry
-                    .pending_writes
-                    .iter()
-                    .filter(|(id, _)| **id != txn.id)
-                    .map(|(_, ts)| *ts)
-                    .min();
-                match earliest_other_pending {
-                    Some(pending) if txn.ts > pending => {} // wait below
-                    _ => {
-                        entry.rts = entry.rts.max(txn.ts);
-                        drop(items);
-                        self.track(txn.id, item);
-                        return CcDecision::granted();
-                    }
-                }
-            }
-            if Instant::now() >= deadline {
-                return CcDecision::Rejected(AbortCause::CcpTimestampViolation {
-                    item: item.clone(),
-                    rejected: txn.ts,
-                });
-            }
-            std::thread::sleep(std::time::Duration::from_millis(1));
+        // pre-write first.) Such a read waits for the pending write to
+        // resolve — the prewrite-queue behaviour of textbook TSO.
+        let mut items = self.items.lock();
+        let entry = items.entry(item.clone()).or_default();
+        // Reading behind a committed write is too late no matter what the
+        // pending writes resolve to (wts never decreases), so reject before
+        // deciding to wait.
+        if txn.ts < entry.wts {
+            return CcDecision::Rejected(AbortCause::CcpTimestampViolation {
+                item: item.clone(),
+                rejected: txn.ts,
+            });
         }
+        let earliest_other_pending = entry
+            .pending_writes
+            .iter()
+            .filter(|(id, _)| **id != txn.id)
+            .map(|(_, ts)| *ts)
+            .min();
+        if earliest_other_pending.is_some_and(|pending| txn.ts > pending) {
+            return CcDecision::Wait;
+        }
+        entry.rts = entry.rts.max(txn.ts);
+        drop(items);
+        self.track(txn.id, item);
+        CcDecision::granted()
     }
 
     fn prewrite(&self, txn: &TxnContext, item: &ItemId, _current: (Value, Version)) -> CcDecision {
@@ -174,6 +161,18 @@ impl CcProtocol for TimestampOrdering {
         drop(items);
         self.track(txn.id, item);
         CcDecision::granted()
+    }
+
+    fn wait_budget(&self) -> Duration {
+        self.wait_budget
+    }
+
+    fn cancel_wait(&self, txn: &TxnContext, item: &ItemId) -> AbortCause {
+        // A waiting read registers nothing: rejecting it is all there is.
+        AbortCause::CcpTimestampViolation {
+            item: item.clone(),
+            rejected: txn.ts,
+        }
     }
 
     fn validate(&self, _txn: &TxnContext) -> CcDecision {
@@ -311,20 +310,24 @@ mod tests {
 
     #[test]
     fn blocked_read_waits_for_the_pending_write_to_resolve() {
-        use std::sync::Arc;
-        use std::time::Duration;
-        let cc = Arc::new(TimestampOrdering::new().with_wait_budget(Duration::from_millis(500)));
+        let cc = TimestampOrdering::new().with_wait_budget(Duration::from_millis(500));
+        assert_eq!(cc.wait_budget(), Duration::from_millis(500));
         let writer = ctx(1, 10);
         assert!(cc.prewrite(&writer, &item("x"), current()).is_granted());
-        let cc2 = Arc::clone(&cc);
-        let resolver = std::thread::spawn(move || {
-            std::thread::sleep(Duration::from_millis(20));
-            cc2.commit(&ctx(1, 10), &[(item("x"), Value::Int(1), Version(1))]);
-        });
-        // The ts-20 reader blocks behind the ts-10 pending write, then
+        // The ts-20 reader waits behind the ts-10 pending write, then
         // proceeds once it commits (20 > wts 10).
-        assert!(cc.read(&ctx(2, 20), &item("x"), current()).is_granted());
-        resolver.join().unwrap();
+        let reader = ctx(2, 20);
+        assert_eq!(cc.read(&reader, &item("x"), current()), CcDecision::Wait);
+        cc.commit(&writer, &[(item("x"), Value::Int(1), Version(1))]);
+        assert!(cc.read(&reader, &item("x"), current()).is_granted());
+        // A withdrawn wait is denied as a timestamp violation.
+        assert!(cc.prewrite(&ctx(3, 30), &item("y"), current()).is_granted());
+        let late = ctx(4, 40);
+        assert_eq!(cc.read(&late, &item("y"), current()), CcDecision::Wait);
+        assert!(matches!(
+            cc.cancel_wait(&late, &item("y")),
+            AbortCause::CcpTimestampViolation { .. }
+        ));
     }
 
     #[test]

@@ -3,9 +3,11 @@
 //! Reads take shared locks, pre-writes take exclusive locks, and every lock
 //! is held until the transaction's commit or abort reaches this site (strict
 //! 2PL), which is exactly what two-phase commit needs: data written by a
-//! prepared transaction stays locked until the decision arrives.
+//! prepared transaction stays locked until the decision arrives. A request
+//! that must wait for a lock answers [`CcDecision::Wait`]; the site parks it
+//! and asks again after a release.
 
-use crate::lock::{LockError, LockManager, LockMode};
+use crate::lock::{LockError, LockManager, LockMode, LockStep};
 use crate::types::{CcDecision, CcProtocol, TxnContext};
 use rainbow_common::protocol::DeadlockPolicy;
 use rainbow_common::txn::AbortCause;
@@ -44,8 +46,9 @@ impl TwoPhaseLocking {
     }
 
     fn acquire(&self, txn: &TxnContext, item: &ItemId, mode: LockMode) -> CcDecision {
-        match self.locks.acquire(txn.id, txn.ts, item, mode) {
-            Ok(()) => CcDecision::granted(),
+        match self.locks.request(txn.id, txn.ts, item, mode) {
+            Ok(LockStep::Granted) => CcDecision::granted(),
+            Ok(LockStep::Wait) => CcDecision::Wait,
             Err(error) => CcDecision::Rejected(Self::map_error(error, item)),
         }
     }
@@ -58,6 +61,19 @@ impl CcProtocol for TwoPhaseLocking {
 
     fn prewrite(&self, txn: &TxnContext, item: &ItemId, _current: (Value, Version)) -> CcDecision {
         self.acquire(txn, item, LockMode::Exclusive)
+    }
+
+    fn wait_budget(&self) -> Duration {
+        self.locks.wait_timeout()
+    }
+
+    fn cancel_wait(&self, txn: &TxnContext, item: &ItemId) -> AbortCause {
+        self.locks.cancel_wait(txn.id, item);
+        Self::map_error(LockError::Timeout, item)
+    }
+
+    fn registered_waits(&self) -> usize {
+        self.locks.waiters() + self.locks.wait_edges()
     }
 
     fn validate(&self, txn: &TxnContext) -> CcDecision {
@@ -104,8 +120,6 @@ impl CcProtocol for TwoPhaseLocking {
 mod tests {
     use super::*;
     use rainbow_common::{SiteId, Timestamp, TxnId};
-    use std::sync::Arc;
-    use std::thread;
 
     fn ctx(seq: u64, ts: u64) -> TxnContext {
         TxnContext::new(TxnId::new(SiteId(0), seq), Timestamp::new(ts, 0))
@@ -130,30 +144,29 @@ mod tests {
         let t2 = ctx(2, 2);
         assert!(cc.read(&t1, &item("x"), current()).is_granted());
         assert!(cc.read(&t2, &item("x"), current()).is_granted());
-        // A writer cannot get in while readers hold the item.
+        // A writer cannot get in while readers hold the item: it waits, and
+        // is denied with a lock conflict when its wait is withdrawn.
         let t3 = ctx(3, 3);
-        let decision = cc.prewrite(&t3, &item("x"), current());
-        assert!(!decision.is_granted());
+        assert_eq!(cc.prewrite(&t3, &item("x"), current()), CcDecision::Wait);
+        assert_eq!(cc.registered_waits(), 2, "one waiter plus its edge");
         assert!(matches!(
-            decision.rejection(),
-            Some(AbortCause::CcpLockConflict { .. })
+            cc.cancel_wait(&t3, &item("x")),
+            AbortCause::CcpLockConflict { .. }
         ));
+        assert_eq!(cc.registered_waits(), 0);
+        assert_eq!(cc.wait_budget(), Duration::from_millis(80));
     }
 
     #[test]
     fn commit_releases_locks_for_waiting_writers() {
-        let cc = Arc::new(tpl(DeadlockPolicy::TimeoutOnly));
+        let cc = tpl(DeadlockPolicy::TimeoutOnly);
         let t1 = ctx(1, 1);
+        let t2 = ctx(2, 2);
         assert!(cc.prewrite(&t1, &item("x"), current()).is_granted());
-
-        let cc2 = Arc::clone(&cc);
-        let writer = thread::spawn(move || {
-            let t2 = ctx(2, 2);
-            cc2.prewrite(&t2, &item("x"), current())
-        });
-        thread::sleep(Duration::from_millis(20));
+        assert_eq!(cc.prewrite(&t2, &item("x"), current()), CcDecision::Wait);
         cc.commit(&t1, &[(item("x"), Value::Int(1), Version(1))]);
-        assert!(writer.join().unwrap().is_granted());
+        assert!(cc.prewrite(&t2, &item("x"), current()).is_granted());
+        assert_eq!(cc.registered_waits(), 0);
     }
 
     #[test]
@@ -170,40 +183,32 @@ mod tests {
 
     #[test]
     fn deadlock_is_reported_as_ccp_deadlock() {
-        let cc = Arc::new(TwoPhaseLocking::new(
-            DeadlockPolicy::WaitForGraph,
-            Duration::from_millis(300),
-        ));
+        let cc = tpl(DeadlockPolicy::WaitForGraph);
         let t1 = ctx(1, 1);
         let t2 = ctx(2, 2);
         assert!(cc.prewrite(&t1, &item("x"), current()).is_granted());
         assert!(cc.prewrite(&t2, &item("y"), current()).is_granted());
-        let cc1 = Arc::clone(&cc);
-        let h = thread::spawn(move || cc1.prewrite(&ctx(1, 1), &item("y"), current()));
-        thread::sleep(Duration::from_millis(30));
+        assert_eq!(cc.prewrite(&t1, &item("y"), current()), CcDecision::Wait);
         let d = cc.prewrite(&t2, &item("x"), current());
         assert!(matches!(
             d.rejection(),
             Some(AbortCause::CcpDeadlock { .. })
         ));
         cc.abort(&t2);
-        assert!(h.join().unwrap().is_granted());
+        assert!(cc.prewrite(&t1, &item("y"), current()).is_granted());
     }
 
     #[test]
     fn wounded_transaction_fails_validation() {
-        let cc = Arc::new(tpl(DeadlockPolicy::WoundWait));
+        let cc = tpl(DeadlockPolicy::WoundWait);
         let young = ctx(2, 10);
         let old = ctx(1, 1);
         assert!(cc.prewrite(&young, &item("x"), current()).is_granted());
-        // Older transaction wounds the younger holder (it will wait/timeout in
-        // a background thread; we only care about the wound side-effect).
-        let cc2 = Arc::clone(&cc);
-        let h = thread::spawn(move || cc2.prewrite(&ctx(1, 1), &item("x"), current()));
-        thread::sleep(Duration::from_millis(20));
+        // Older transaction wounds the younger holder and waits.
+        assert_eq!(cc.prewrite(&old, &item("x"), current()), CcDecision::Wait);
         assert!(!cc.validate(&young).is_granted());
         cc.abort(&young);
-        assert!(h.join().unwrap().is_granted());
+        assert!(cc.prewrite(&old, &item("x"), current()).is_granted());
         // The winning older transaction — now actually holding the lock,
         // as any prepared participant does — validates cleanly.
         assert!(cc.validate(&old).is_granted());

@@ -40,6 +40,12 @@ pub enum CcDecision {
     },
     /// Access rejected; the transaction must abort with the given cause.
     Rejected(rainbow_common::txn::AbortCause),
+    /// Access must wait: it conflicts with something that may go away (a
+    /// 2PL lock held by another transaction, an earlier transaction's
+    /// pending pre-write). The caller parks the access and asks again after
+    /// a commit or abort, and withdraws it with [`CcProtocol::cancel_wait`]
+    /// once [`CcProtocol::wait_budget`] has passed.
+    Wait,
 }
 
 impl CcDecision {
@@ -69,13 +75,15 @@ impl CcDecision {
 /// Call sequence for a transaction at a copy-holder site:
 ///
 /// 1. zero or more [`CcProtocol::read`] / [`CcProtocol::prewrite`] calls as
-///    the RCP touches local copies;
+///    the RCP touches local copies — an access answered
+///    [`CcDecision::Wait`] is asked again until it is granted or rejected,
+///    or withdrawn with [`CcProtocol::cancel_wait`];
 /// 2. [`CcProtocol::validate`] when the 2PC participant is about to vote;
 /// 3. exactly one of [`CcProtocol::commit`] or [`CcProtocol::abort`], which
 ///    releases every resource the transaction holds at this site.
 pub trait CcProtocol: Send + Sync {
-    /// Requests read access to `item`. May block (2PL waits for a lock) up
-    /// to the protocol's configured timeout.
+    /// Requests read access to `item`. Never blocks: a conflict that may
+    /// resolve answers [`CcDecision::Wait`].
     ///
     /// `current` is the committed `(value, version)` of the local copy, which
     /// multi-version protocols use to maintain their version chains.
@@ -83,7 +91,24 @@ pub trait CcProtocol: Send + Sync {
 
     /// Requests write (pre-write) access to `item`. The actual new value is
     /// staged in storage by the caller; the CCP only arbitrates access.
+    /// Never blocks, like [`CcProtocol::read`].
     fn prewrite(&self, txn: &TxnContext, item: &ItemId, current: (Value, Version)) -> CcDecision;
+
+    /// How long an access answered [`CcDecision::Wait`] may keep waiting
+    /// before its caller withdraws it.
+    fn wait_budget(&self) -> Duration;
+
+    /// Withdraws a waiting access to `item` (its budget ran out, or its
+    /// transaction was decided meanwhile), dropping whatever the protocol
+    /// registered for the wait. Returns the cause the access is denied with.
+    fn cancel_wait(&self, txn: &TxnContext, item: &ItemId) -> rainbow_common::txn::AbortCause;
+
+    /// Waits currently registered with the protocol (2PL lock waiters plus
+    /// wait-for-graph edges), for tests and diagnostics. Zero once every
+    /// waiting access has been granted, rejected or withdrawn.
+    fn registered_waits(&self) -> usize {
+        0
+    }
 
     /// Called by the commit participant just before voting YES. Protocols
     /// that can invalidate a transaction after its accesses were granted
@@ -131,7 +156,7 @@ pub fn make_ccp(
             deadlock,
             lock_wait_timeout,
         )),
-        // The lock-wait timeout doubles as the wait budget of reads blocked
+        // The lock-wait timeout doubles as the wait budget of reads parked
         // behind an earlier transaction's pending pre-write (the bounded
         // prewrite-queue of textbook TSO/MVTO).
         CcpKind::TimestampOrdering => {
@@ -174,6 +199,8 @@ mod tests {
             let ccp = make_ccp(kind, DeadlockPolicy::WaitDie, timeout);
             assert_eq!(ccp.name(), name);
             assert_eq!(ccp.active_transactions(), 0);
+            assert_eq!(ccp.wait_budget(), timeout);
+            assert_eq!(ccp.registered_waits(), 0);
         }
     }
 

@@ -2,10 +2,13 @@
 //!
 //! A site is one node of the distributed database. It runs:
 //!
-//! * a **dispatcher thread** that drains the site's network mailbox and
-//!   routes messages — responses go to the transaction-coordinator worker
-//!   waiting for them, requests are handled (inline when non-blocking,
-//!   on a short-lived handler thread when they may block on a lock);
+//! * a **dispatcher thread** — the participant event loop — that drains the
+//!   site's network mailbox and routes messages: responses go to the
+//!   transaction coordinator waiting for them, and every participant
+//!   request is served inline. A copy access the CCP cannot grant yet (a
+//!   2PL lock held by another transaction, an earlier pending pre-write
+//!   under TSO/MVTO) is *parked* with its deadline, and asked again after
+//!   each commit, abort or wound, so no thread ever blocks on a lock;
 //! * **one worker thread per in-flight transaction** whose home is this
 //!   site, exactly as in the paper ("When a new transaction arrives at a
 //!   Rainbow site, the site dedicates one thread to process it");
@@ -25,6 +28,7 @@ use rainbow_commit::{Decision, Participant, ParticipantAction, ParticipantState,
 use rainbow_common::config::DatabaseSchema;
 use rainbow_common::history::HistorySink;
 use rainbow_common::protocol::{CoordinatorMode, ProtocolStack};
+use rainbow_common::txn::AbortCause;
 use rainbow_common::{
     ItemId, RainbowError, RainbowResult, SiteId, Timestamp, TimestampGenerator, TxnId, Value,
     Version,
@@ -50,8 +54,8 @@ pub(crate) struct ParticipantEntry {
     pub last_activity: Instant,
 }
 
-/// State shared between the dispatcher, handler threads and transaction
-/// workers of one site.
+/// State shared between the dispatcher and the transaction coordinators of
+/// one site.
 pub(crate) struct SiteShared {
     pub id: SiteId,
     pub node: NodeId,
@@ -66,10 +70,11 @@ pub(crate) struct SiteShared {
     pub pending_replies: Mutex<HashMap<TxnId, Sender<Envelope<Msg>>>>,
     pub decided: Mutex<HashMap<TxnId, Decision>>,
     /// Transactions that have already been decided (or cleaned up) at this
-    /// site *as a participant*. Late copy-access requests and late lock
-    /// grants for these transactions are refused so they cannot resurrect a
-    /// participant entry that nobody will ever release.
-    pub finished: Mutex<std::collections::HashSet<TxnId>>,
+    /// site *as a participant*, with when. Late copy-access requests for
+    /// these transactions are refused so they cannot resurrect a
+    /// participant entry that nobody will ever release. The janitor forgets
+    /// entries older than [`ProtocolStack::janitor_horizon`].
+    pub finished: Mutex<HashMap<TxnId, Instant>>,
     /// In-doubt transactions found during crash recovery, waiting for a
     /// status reply from their coordinator.
     pub in_doubt: Mutex<HashMap<TxnId, WriteSet>>,
@@ -147,6 +152,11 @@ impl SiteShared {
                 detail: detail(),
             });
         }
+    }
+
+    /// Records that `txn` is decided (or cleaned up) at this site.
+    fn mark_finished(&self, txn: TxnId) {
+        self.finished.lock().insert(txn, Instant::now());
     }
 
     /// Ensures a participant entry exists for `txn` and returns its context.
@@ -264,7 +274,7 @@ impl SiteHandle {
             participants: Mutex::new(HashMap::new()),
             pending_replies: Mutex::new(HashMap::new()),
             decided: Mutex::new(HashMap::new()),
-            finished: Mutex::new(std::collections::HashSet::new()),
+            finished: Mutex::new(HashMap::new()),
             in_doubt: Mutex::new(HashMap::new()),
             txn_seq: AtomicU64::new(0),
             clock: TimestampGenerator::new(id),
@@ -293,10 +303,13 @@ impl SiteHandle {
             }
         }
 
-        let dispatcher_shared = Arc::clone(&shared);
+        let dispatcher = Dispatcher {
+            shared: Arc::clone(&shared),
+            parked: Vec::new(),
+        };
         let dispatcher = std::thread::Builder::new()
             .name(format!("rainbow-site-{}", id.0))
-            .spawn(move || dispatcher_loop(dispatcher_shared, mailbox))
+            .spawn(move || dispatcher.run(mailbox))
             .expect("failed to spawn site dispatcher");
 
         Ok(SiteHandle {
@@ -394,8 +407,23 @@ impl SiteHandle {
             shared.stack.lock_wait_timeout,
         );
         ccp.install_recovery_floor(Timestamp::new(shared.clock.now(), shared.id.0));
+        // Accesses parked in the old CCP are denied by the dispatcher when
+        // it sees the instance replaced.
         *shared.ccp.write() = ccp;
-        shared.participants.lock().clear();
+        // Every transaction active here lost its grants with the volatile
+        // state. Refuse its later accesses as if it were decided: a lock it
+        // takes now would let it vote YES although a lock it took before
+        // the crash is gone, and another transaction may already have read
+        // or written through the gap.
+        let lost: Vec<TxnId> = shared
+            .participants
+            .lock()
+            .drain()
+            .map(|(txn, _)| txn)
+            .collect();
+        for txn in lost {
+            shared.mark_finished(txn);
+        }
         // Ask each in-doubt transaction's coordinator for the decision.
         let mut in_doubt = shared.in_doubt.lock();
         in_doubt.clear();
@@ -471,209 +499,12 @@ impl Drop for SiteHandle {
     }
 }
 
-fn dispatcher_loop(shared: Arc<SiteShared>, mailbox: Receiver<Envelope<Msg>>) {
-    let mut last_janitor = Instant::now();
-    let janitor_every = Duration::from_millis(200);
-    loop {
-        if shared.shutdown.load(Ordering::Relaxed) {
-            return;
-        }
-        match mailbox.recv_timeout(Duration::from_millis(25)) {
-            Ok(envelope) => dispatch(&shared, envelope),
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => return,
-        }
-        if last_janitor.elapsed() >= janitor_every {
-            last_janitor = Instant::now();
-            run_janitor(&shared);
-        }
-    }
-}
+/// How often the dispatcher runs the janitor.
+const JANITOR_EVERY: Duration = Duration::from_millis(200);
 
-fn dispatch(shared: &Arc<SiteShared>, envelope: Envelope<Msg>) {
-    // Responses go straight to the coordinator waiting for them: the
-    // owning reactor in reactor mode, the conversation worker's reply
-    // channel otherwise.
-    if envelope.payload.is_coordinator_response() {
-        if let Some(txn) = envelope.payload.txn() {
-            if let Some(pool) = shared.reactor.get() {
-                pool.route(txn.seq, ReactorEvent::Deliver(envelope));
-                return;
-            }
-            let pending = shared.pending_replies.lock();
-            if let Some(tx) = pending.get(&txn) {
-                let _ = tx.send(envelope);
-            }
-        }
-        return;
-    }
-
-    match envelope.payload.clone() {
-        Msg::TxnBegin { request, label } => {
-            SiteMetrics::bump(&shared.metrics.home_transactions);
-            let client = envelope.from;
-            if let Some(pool) = shared.reactor.get() {
-                // Reactor mode: allocate the id here (its sequence number
-                // pins the transaction to a reactor) and hand the
-                // conversation to the owning event loop.
-                let txn = TxnId::new(shared.id, shared.txn_seq.fetch_add(1, Ordering::Relaxed));
-                let ts = shared.clock.next();
-                pool.route(
-                    txn.seq,
-                    ReactorEvent::Begin {
-                        txn,
-                        ts,
-                        label,
-                        client,
-                        request,
-                    },
-                );
-            } else {
-                let worker_shared = Arc::clone(shared);
-                // "The site dedicates one thread to process it." The thread
-                // now drives an interactive conversation instead of a fixed
-                // op list.
-                let _ = std::thread::Builder::new()
-                    .name(format!("rainbow-txn-{}", shared.id.0))
-                    .spawn(move || run_interactive(worker_shared, label, client, request));
-            }
-        }
-        Msg::TxnOp { txn, .. } => {
-            // Route the client command to the coordinator driving the
-            // conversation. When no worker is registered any more (the
-            // conversation idled out and was aborted, or the site crashed
-            // and recovered), tell the client instead of leaving it to its
-            // timeout; the reactor path answers `Gone` itself.
-            if let Some(pool) = shared.reactor.get() {
-                pool.route(txn.seq, ReactorEvent::Deliver(envelope));
-                return;
-            }
-            let client = envelope.from;
-            let routed = {
-                let pending = shared.pending_replies.lock();
-                match pending.get(&txn) {
-                    Some(tx) => tx.send(envelope).is_ok(),
-                    None => false,
-                }
-            };
-            if !routed {
-                shared.send(
-                    client,
-                    Msg::TxnOpReply {
-                        txn,
-                        reply: OpReply::Gone,
-                    },
-                );
-            }
-        }
-        Msg::CopyRead {
-            txn,
-            ts,
-            item,
-            for_update,
-        } => {
-            SiteMetrics::bump(&shared.metrics.served_requests);
-            // Register the participant entry *inline* so a decision that is
-            // already queued behind this request finds the entry and cleans
-            // it up; the (possibly blocking) lock work happens off-thread.
-            shared.ensure_participant(txn, ts, envelope.from);
-            let handler_shared = Arc::clone(shared);
-            let from = envelope.from;
-            // May block on a lock: never handle on the dispatcher thread.
-            let _ = std::thread::Builder::new()
-                .name("rainbow-copy-read".into())
-                .spawn(move || {
-                    handle_copy_access(
-                        handler_shared,
-                        from,
-                        txn,
-                        ts,
-                        item,
-                        CopyAccess::Read { for_update },
-                    )
-                });
-        }
-        Msg::CopyPrewrite { txn, ts, item } => {
-            SiteMetrics::bump(&shared.metrics.served_requests);
-            shared.ensure_participant(txn, ts, envelope.from);
-            let handler_shared = Arc::clone(shared);
-            let from = envelope.from;
-            let _ = std::thread::Builder::new()
-                .name("rainbow-copy-prewrite".into())
-                .spawn(move || {
-                    handle_copy_access(handler_shared, from, txn, ts, item, CopyAccess::Prewrite)
-                });
-        }
-        Msg::AcpPrepare { txn, ts, writes } => {
-            SiteMetrics::bump(&shared.metrics.served_requests);
-            handle_prepare(shared, envelope.from, txn, ts, writes);
-        }
-        Msg::AcpPreCommit { txn } => {
-            handle_precommit(shared, envelope.from, txn);
-        }
-        Msg::AcpDecision { txn, decision } => {
-            handle_decision(shared, envelope.from, txn, decision);
-        }
-        Msg::AcpStatusQuery { txn } => {
-            let decision = shared.decided.lock().get(&txn).copied();
-            shared.send(envelope.from, Msg::AcpStatusReply { txn, decision });
-        }
-        Msg::AcpStatusReply { txn, decision } => {
-            handle_status_reply(shared, txn, decision);
-        }
-        Msg::NsSchema { database, .. } => {
-            // A late or refreshed schema push: adopt it.
-            *shared.schema.write() = database;
-        }
-        Msg::Batch(msgs) => {
-            // A coalesced envelope from a reactor tick. Prepares and commit
-            // decisions are pulled out and handled as groups so their WAL
-            // forces ride one fsync each; everything else goes through the
-            // normal per-message path (which also routes any coordinator
-            // responses the batch carried).
-            let mut prepares = Vec::new();
-            let mut commits = Vec::new();
-            let mut rest = Vec::new();
-            for msg in msgs {
-                match msg {
-                    Msg::AcpPrepare { txn, ts, writes } => prepares.push((txn, ts, writes)),
-                    Msg::AcpDecision {
-                        txn,
-                        decision: Decision::Commit,
-                    } => commits.push(txn),
-                    other => rest.push(other),
-                }
-            }
-            if !prepares.is_empty() {
-                handle_prepare_batch(shared, envelope.from, prepares);
-            }
-            if !commits.is_empty() {
-                handle_decision_commit_batch(shared, envelope.from, commits);
-            }
-            for msg in rest {
-                dispatch(
-                    shared,
-                    Envelope {
-                        id: envelope.id,
-                        from: envelope.from,
-                        to: envelope.to,
-                        payload: msg,
-                    },
-                );
-            }
-        }
-        // Messages a site never receives (or that only matter to clients /
-        // the name server) are ignored.
-        Msg::TxnBegan { .. }
-        | Msg::TxnOpReply { .. }
-        | Msg::TxnDone { .. }
-        | Msg::NsGetSchema
-        | Msg::CopyReply { .. }
-        | Msg::AcpVote { .. }
-        | Msg::AcpPreCommitAck { .. }
-        | Msg::AcpAck { .. } => {}
-    }
-}
+/// The longest the dispatcher sleeps on an idle mailbox, so it notices the
+/// shutdown flag promptly.
+const IDLE_POLL: Duration = Duration::from_millis(25);
 
 /// The kind of copy access requested by the RCP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -688,241 +519,373 @@ enum CopyAccess {
     Prewrite,
 }
 
-/// Handles a copy read or pre-write request through the CCP.
-fn handle_copy_access(
-    shared: Arc<SiteShared>,
+/// A copy access going through the CCP. While the CCP answers
+/// [`CcDecision::Wait`] it stays parked on the dispatcher, until a retry
+/// grants or rejects it, its transaction is decided, or its deadline passes.
+struct CcpAccess {
     from: NodeId,
-    txn: TxnId,
-    ts: Timestamp,
+    ctx: TxnContext,
     item: ItemId,
     access: CopyAccess,
-) {
-    shared.clock.observe(ts);
-    // Refuse accesses for transactions that already finished at this site
-    // (their decision raced ahead of this request); granting would leak a
-    // lock nobody releases.
-    if shared.finished.lock().contains(&txn) {
-        shared.send(
-            from,
-            Msg::CopyReply {
-                txn,
-                item: item.clone(),
-                prewrite: access == CopyAccess::Prewrite,
-                for_update: access == CopyAccess::Read { for_update: true },
-                result: CopyAccessResult::Denied(
-                    rainbow_common::txn::AbortCause::CcpLockConflict {
-                        item: item.clone(),
-                        holder: None,
-                    },
-                ),
-            },
-        );
-        return;
+    /// The CCP instance the access waits in. A crash reset replaces the
+    /// site's CCP, and the wait is lost with the old instance.
+    ccp: Arc<dyn CcProtocol>,
+    /// Trace clock at arrival: the `LockWait` span runs from here to the
+    /// grant or denial.
+    lock_start: u64,
+    /// When the CCP's wait budget runs out.
+    deadline: Instant,
+}
+
+/// The participant event loop of one site. One thread drains the mailbox
+/// and serves every request inline; nothing it calls blocks on another
+/// transaction. A copy access that has to wait is parked, and asked again
+/// after every event that can release or wound CCP state.
+struct Dispatcher {
+    shared: Arc<SiteShared>,
+    /// Copy accesses waiting in the CCP, in arrival order.
+    parked: Vec<CcpAccess>,
+}
+
+impl Dispatcher {
+    fn run(mut self, mailbox: Receiver<Envelope<Msg>>) {
+        let mut next_janitor = Instant::now() + JANITOR_EVERY;
+        loop {
+            if self.shared.shutdown.load(Ordering::Relaxed) {
+                return;
+            }
+            let now = Instant::now();
+            let wake = self
+                .parked
+                .iter()
+                .map(|access| access.deadline)
+                .fold(next_janitor.min(now + IDLE_POLL), Instant::min);
+            match mailbox.recv_timeout(wake.saturating_duration_since(now)) {
+                Ok(envelope) => {
+                    let unblocks = may_unblock_parked(&envelope.payload);
+                    self.dispatch(envelope);
+                    if unblocks {
+                        self.retry_parked();
+                    }
+                }
+                Err(RecvTimeoutError::Timeout) => {}
+                Err(RecvTimeoutError::Disconnected) => return,
+            }
+            let now = Instant::now();
+            if now >= next_janitor {
+                next_janitor = now + JANITOR_EVERY;
+                self.run_janitor();
+                self.retry_parked();
+            } else if self.parked_due(now) {
+                self.retry_parked();
+            }
+        }
     }
-    // Items in an in-doubt transaction's prepared write set are
-    // untouchable: the crash destroyed the locks that protected them, the
-    // prepared (pre-commit) version is what a read would return, and the
-    // outcome is unknown until ACP termination resolves it. Granting any
-    // access here lets a reader serialize against state that may be about
-    // to change — the write-skew anomaly the chaos lab convicts — so deny
-    // and let the client retry after the in-doubt window closes.
-    {
-        let in_doubt = shared.in_doubt.lock();
-        let blocked = in_doubt
+
+    /// Whether a parked access has reached its deadline, or waits in a CCP
+    /// that a crash reset has replaced.
+    fn parked_due(&self, now: Instant) -> bool {
+        if self.parked.is_empty() {
+            return false;
+        }
+        let ccp = self.shared.ccp();
+        self.parked
             .iter()
-            .any(|(holder, writes)| *holder != txn && writes.iter().any(|(i, _, _)| *i == item));
-        if blocked {
-            shared.send(
+            .any(|access| access.deadline <= now || !Arc::ptr_eq(&access.ccp, &ccp))
+    }
+
+    fn dispatch(&mut self, envelope: Envelope<Msg>) {
+        // Responses go straight to the coordinator waiting for them: the
+        // owning reactor in reactor mode, the conversation worker's reply
+        // channel otherwise.
+        if envelope.payload.is_coordinator_response() {
+            route_to_coordinator(&self.shared, envelope);
+            return;
+        }
+        let from = envelope.from;
+        match envelope.payload {
+            Msg::TxnOp { txn, .. } => route_txn_op(&self.shared, txn, envelope),
+            Msg::TxnBegin { request, label } => {
+                begin_conversation(&self.shared, from, label, request)
+            }
+            Msg::CopyRead {
+                txn,
+                ts,
+                item,
+                for_update,
+            } => self.serve_copy_access(from, txn, ts, item, CopyAccess::Read { for_update }),
+            Msg::CopyPrewrite { txn, ts, item } => {
+                self.serve_copy_access(from, txn, ts, item, CopyAccess::Prewrite)
+            }
+            Msg::AcpPrepare { txn, ts, writes } => {
+                SiteMetrics::bump(&self.shared.metrics.served_requests);
+                self.handle_prepare(from, txn, ts, writes);
+            }
+            Msg::AcpPreCommit { txn } => handle_precommit(&self.shared, from, txn),
+            Msg::AcpDecision { txn, decision } => self.handle_decision(from, txn, decision),
+            Msg::AcpStatusQuery { txn } => {
+                let decision = self.shared.decided.lock().get(&txn).copied();
+                self.shared
+                    .send(from, Msg::AcpStatusReply { txn, decision });
+            }
+            Msg::AcpStatusReply { txn, decision } => self.handle_status_reply(txn, decision),
+            Msg::NsSchema { database, .. } => {
+                // A late or refreshed schema push: adopt it.
+                *self.shared.schema.write() = database;
+            }
+            Msg::Batch(msgs) => {
+                // A coalesced envelope from a reactor tick. Prepares and
+                // commit decisions are pulled out and handled as groups so
+                // their WAL forces ride one fsync each; everything else goes
+                // through the normal per-message path (which also routes any
+                // coordinator responses the batch carried).
+                let mut prepares = Vec::new();
+                let mut commits = Vec::new();
+                let mut rest = Vec::new();
+                for msg in msgs {
+                    match msg {
+                        Msg::AcpPrepare { txn, ts, writes } => prepares.push((txn, ts, writes)),
+                        Msg::AcpDecision {
+                            txn,
+                            decision: Decision::Commit,
+                        } => commits.push(txn),
+                        other => rest.push(other),
+                    }
+                }
+                if !prepares.is_empty() {
+                    self.handle_prepare_batch(from, prepares);
+                }
+                if !commits.is_empty() {
+                    self.handle_decision_commit_batch(from, commits);
+                }
+                for payload in rest {
+                    self.dispatch(Envelope {
+                        id: envelope.id,
+                        from,
+                        to: envelope.to,
+                        payload,
+                    });
+                }
+            }
+            // Messages a site never receives (or that only matter to
+            // clients / the name server) are ignored; coordinator responses
+            // were routed above.
+            Msg::TxnBegan { .. }
+            | Msg::TxnOpReply { .. }
+            | Msg::TxnDone { .. }
+            | Msg::NsGetSchema
+            | Msg::CopyReply { .. }
+            | Msg::AcpVote { .. }
+            | Msg::AcpPreCommitAck { .. }
+            | Msg::AcpAck { .. } => {}
+        }
+    }
+
+    /// Serves a copy read or pre-write through the CCP, parking it when the
+    /// CCP answers [`CcDecision::Wait`].
+    fn serve_copy_access(
+        &mut self,
+        from: NodeId,
+        txn: TxnId,
+        ts: Timestamp,
+        item: ItemId,
+        access: CopyAccess,
+    ) {
+        let shared = &self.shared;
+        SiteMetrics::bump(&shared.metrics.served_requests);
+        shared.clock.observe(ts);
+        // Refuse accesses for transactions that already finished at this
+        // site (their decision raced ahead of this request); granting would
+        // leak a lock nobody releases.
+        //
+        // Items in an in-doubt transaction's prepared write set are
+        // untouchable as well: the crash destroyed the locks that protected
+        // them, the prepared (pre-commit) version is what a read would
+        // return, and the outcome is unknown until ACP termination resolves
+        // it. Granting any access here lets a reader serialize against state
+        // that may be about to change — the write-skew anomaly the chaos lab
+        // convicts — so deny and let the client retry after the in-doubt
+        // window closes.
+        let refused = shared.finished.lock().contains_key(&txn)
+            || shared.in_doubt.lock().iter().any(|(holder, writes)| {
+                *holder != txn && writes.iter().any(|(i, _, _)| *i == item)
+            });
+        if refused {
+            let cause = lock_conflict(&item);
+            send_copy_reply(
+                shared,
                 from,
-                Msg::CopyReply {
-                    txn,
-                    item: item.clone(),
-                    prewrite: access == CopyAccess::Prewrite,
-                    for_update: access == CopyAccess::Read { for_update: true },
-                    result: CopyAccessResult::Denied(
-                        rainbow_common::txn::AbortCause::CcpLockConflict {
-                            item: item.clone(),
-                            holder: None,
-                        },
-                    ),
-                },
+                txn,
+                item,
+                access,
+                CopyAccessResult::Denied(cause),
             );
             return;
         }
+        let ctx = shared.ensure_participant(txn, ts, from);
+        let ccp = shared.ccp();
+        let request = CcpAccess {
+            from,
+            ctx,
+            item,
+            access,
+            deadline: Instant::now() + ccp.wait_budget(),
+            ccp,
+            lock_start: shared.trace_now(),
+        };
+        if let Some(waiting) = self.attempt(request) {
+            self.parked.push(waiting);
+        }
     }
-    let ctx = shared.ensure_participant(txn, ts, from);
-    let is_prewrite_reply = access == CopyAccess::Prewrite;
-    let result = match shared.storage.read(&item) {
-        Err(_) => CopyAccessResult::NoSuchCopy,
-        Ok(current) => {
-            let ccp = shared.ccp();
-            let lock_start = shared.trace_now();
-            let decision = match access {
-                CopyAccess::Prewrite => ccp.prewrite(&ctx, &item, current.clone()),
-                CopyAccess::Read { for_update: false } => ccp.read(&ctx, &item, current.clone()),
-                CopyAccess::Read { for_update: true } => {
-                    // Write access first (exclusive lock / pre-write
-                    // validation), then the read; this avoids the classic
-                    // shared→exclusive upgrade deadlock for read-modify-write
-                    // operations.
-                    match ccp.prewrite(&ctx, &item, current.clone()) {
-                        CcDecision::Granted { .. } => ccp.read(&ctx, &item, current.clone()),
-                        rejected => rejected,
-                    }
-                }
-            };
-            // The CCP call is where lock waits happen: its latency *is* the
-            // lock-acquisition phase, granted or not.
-            shared.trace_site_span(
-                txn,
-                Some(Phase::LockWait),
-                if decision.is_granted() {
-                    "ccp:grant"
-                } else {
-                    "ccp:deny"
-                },
-                lock_start,
-                || format!("{item} {access:?}"),
-            );
-            match decision {
-                CcDecision::Granted { value_override } => {
-                    // The CCP call may have blocked (2PL lock wait). Two
-                    // things follow. First, the transaction may have been
-                    // decided (committed or aborted) while we were waiting —
-                    // its participant entry is gone and nobody will ever
-                    // release what we just acquired, so release it right now
-                    // and refuse the access. Second, re-read the committed
-                    // state *after* the grant so the value reflects every
-                    // transaction serialized before us.
-                    let still_active = {
-                        let mut participants = shared.participants.lock();
-                        match participants.get_mut(&txn) {
-                            Some(entry) => {
-                                entry.last_activity = Instant::now();
-                                true
-                            }
-                            None => false,
-                        }
-                    };
-                    if !still_active {
-                        shared.ccp().abort(&ctx);
-                        CopyAccessResult::Denied(rainbow_common::txn::AbortCause::CcpLockConflict {
-                            item: item.clone(),
-                            holder: None,
-                        })
-                    } else {
-                        let (value, version) = match value_override {
-                            Some(pair) => pair,
-                            None => shared.storage.read(&item).unwrap_or(current),
-                        };
-                        CopyAccessResult::Granted {
-                            value: if is_prewrite_reply { None } else { Some(value) },
-                            version,
-                        }
-                    }
-                }
-                CcDecision::Rejected(cause) => {
-                    SiteMetrics::bump(&shared.metrics.ccp_rejections);
-                    CopyAccessResult::Denied(cause)
+
+    /// Asks the CCP once for `request`. Replies when the access is decided
+    /// (granted, rejected, or out of wait budget); hands it back when it
+    /// still has to wait.
+    fn attempt(&self, request: CcpAccess) -> Option<CcpAccess> {
+        let shared = &self.shared;
+        let Ok(current) = shared.storage.read(&request.item) else {
+            let result = CopyAccessResult::NoSuchCopy;
+            let (from, txn) = (request.from, request.ctx.id);
+            send_copy_reply(shared, from, txn, request.item, request.access, result);
+            return None;
+        };
+        let (ccp, ctx, item) = (&request.ccp, &request.ctx, &request.item);
+        let decision = match request.access {
+            CopyAccess::Prewrite => ccp.prewrite(ctx, item, current.clone()),
+            CopyAccess::Read { for_update: false } => ccp.read(ctx, item, current.clone()),
+            CopyAccess::Read { for_update: true } => {
+                // Write access first (exclusive lock / pre-write validation),
+                // then the read; this avoids the classic shared→exclusive
+                // upgrade deadlock for read-modify-write operations. Both
+                // steps are idempotent, so a parked access repeats both.
+                match ccp.prewrite(ctx, item, current.clone()) {
+                    CcDecision::Granted { .. } => ccp.read(ctx, item, current.clone()),
+                    other => other,
                 }
             }
-        }
-    };
-    shared.send(
-        from,
-        Msg::CopyReply {
-            txn,
+        };
+        let result = match decision {
+            CcDecision::Wait if Instant::now() < request.deadline => return Some(request),
+            CcDecision::Wait => {
+                SiteMetrics::bump(&shared.metrics.ccp_rejections);
+                CopyAccessResult::Denied(ccp.cancel_wait(ctx, item))
+            }
+            CcDecision::Rejected(cause) => {
+                SiteMetrics::bump(&shared.metrics.ccp_rejections);
+                CopyAccessResult::Denied(cause)
+            }
+            CcDecision::Granted { value_override } => {
+                // A crash reset may have wiped the participant entry while
+                // the access waited: nobody would ever release what was just
+                // acquired, so release it right now and refuse the access.
+                let still_active = match shared.participants.lock().get_mut(&ctx.id) {
+                    Some(entry) => {
+                        entry.last_activity = Instant::now();
+                        true
+                    }
+                    None => false,
+                };
+                if still_active {
+                    // Re-read the committed state *after* the grant so the
+                    // value reflects every transaction serialized before us.
+                    let (value, version) = match value_override {
+                        Some(pair) => pair,
+                        None => shared.storage.read(item).unwrap_or(current),
+                    };
+                    CopyAccessResult::Granted {
+                        value: (request.access != CopyAccess::Prewrite).then_some(value),
+                        version,
+                    }
+                } else {
+                    ccp.abort(ctx);
+                    CopyAccessResult::Denied(lock_conflict(item))
+                }
+            }
+        };
+        self.conclude(request, result);
+        None
+    }
+
+    /// Ends a CCP access: records its `LockWait` span (arrival to grant or
+    /// denial, including any time parked) and replies.
+    fn conclude(&self, request: CcpAccess, result: CopyAccessResult) {
+        let CcpAccess {
+            from,
+            ctx,
             item,
-            prewrite: is_prewrite_reply,
-            for_update: access == CopyAccess::Read { for_update: true },
-            result,
-        },
-    );
-}
-
-/// Handles the PREPARE request of the commit protocol.
-fn handle_prepare(
-    shared: &Arc<SiteShared>,
-    from: NodeId,
-    txn: TxnId,
-    ts: Timestamp,
-    writes: Vec<(ItemId, Value, Version)>,
-) {
-    shared.clock.observe(ts);
-    let prepare_start = shared.trace_now();
-    let ctx = shared.ensure_participant(txn, ts, from);
-    let ccp = shared.ccp();
-    let can_commit = ccp.validate(&ctx).is_granted();
-    if can_commit {
-        for (item, value, version) in &writes {
-            shared
-                .storage
-                .stage_write(txn, item.clone(), value.clone(), *version);
-        }
-        // Force the prepare record before voting YES.
-        shared.storage.prepare(txn);
+            access,
+            lock_start,
+            ..
+        } = request;
+        let granted = matches!(result, CopyAccessResult::Granted { .. });
+        self.shared.trace_site_span(
+            ctx.id,
+            Some(Phase::LockWait),
+            if granted { "ccp:grant" } else { "ccp:deny" },
+            lock_start,
+            || format!("{item} {access:?}"),
+        );
+        send_copy_reply(&self.shared, from, ctx.id, item, access, result);
     }
 
-    let action = {
-        let mut participants = shared.participants.lock();
-        let entry = participants.get_mut(&txn).expect("entry ensured above");
-        entry.last_activity = Instant::now();
-        entry.machine.on_prepare(can_commit)
-    };
-    if let ParticipantAction::SendVote(vote) = action {
-        if vote == Vote::Yes {
-            SiteMetrics::bump(&shared.metrics.votes_yes);
-        } else {
-            SiteMetrics::bump(&shared.metrics.votes_no);
-            // Voting NO releases local resources immediately.
-            shared.storage.abort(txn);
-            ccp.abort(&ctx);
+    /// Asks every parked access again, in arrival order. Accesses that wait
+    /// in a CCP a crash reset has replaced are denied: their wait was lost.
+    fn retry_parked(&mut self) {
+        if self.parked.is_empty() {
+            return;
         }
-        shared.trace_site_span(txn, Some(Phase::Prepare), "acp:vote", prepare_start, || {
-            format!("{vote:?} ({} writes)", writes.len())
-        });
-        shared.send(from, Msg::AcpVote { txn, vote });
+        let ccp = self.shared.ccp();
+        for request in std::mem::take(&mut self.parked) {
+            if Arc::ptr_eq(&request.ccp, &ccp) {
+                self.parked.extend(self.attempt(request));
+            } else {
+                let cause = lock_conflict(&request.item);
+                self.conclude(request, CopyAccessResult::Denied(cause));
+            }
+        }
     }
-}
 
-/// Handles a batch of PREPARE requests that arrived in one coalesced
-/// envelope: each transaction is validated and staged individually, but the
-/// prepare records of every YES-voter are forced with a **single**
-/// [`rainbow_storage::SiteStorage::prepare_many`] group append — the
-/// group-commit half of the reactor pipeline. Votes travel back to the
-/// coordinator node in one batch envelope when there is more than one.
-fn handle_prepare_batch(
-    shared: &Arc<SiteShared>,
-    from: NodeId,
-    prepares: Vec<(TxnId, Timestamp, WriteSet)>,
-) {
-    let prepare_start = shared.trace_now();
-    let group = prepares.len();
-    // Phase 1: validate through the CCP and stage the writes of every
-    // transaction that can commit.
-    let mut rounds: Vec<(TxnId, TxnContext, bool, usize)> = Vec::with_capacity(group);
-    let mut yes_voters: Vec<TxnId> = Vec::with_capacity(group);
-    for (txn, ts, writes) in prepares {
-        SiteMetrics::bump(&shared.metrics.served_requests);
+    /// Withdraws and denies every parked access of `txn`. Called before the
+    /// transaction's CCP state is released here (decision, NO vote, janitor
+    /// abort): a later grant would take a lock nobody releases.
+    fn cancel_parked(&mut self, txn: TxnId) {
+        if !self.parked.iter().any(|request| request.ctx.id == txn) {
+            return;
+        }
+        let (cancelled, kept): (Vec<_>, Vec<_>) = std::mem::take(&mut self.parked)
+            .into_iter()
+            .partition(|request| request.ctx.id == txn);
+        self.parked = kept;
+        for request in cancelled {
+            let cause = request.ccp.cancel_wait(&request.ctx, &request.item);
+            self.conclude(request, CopyAccessResult::Denied(cause));
+        }
+    }
+
+    /// Handles the PREPARE request of the commit protocol.
+    fn handle_prepare(
+        &mut self,
+        from: NodeId,
+        txn: TxnId,
+        ts: Timestamp,
+        writes: Vec<(ItemId, Value, Version)>,
+    ) {
+        let shared = Arc::clone(&self.shared);
         shared.clock.observe(ts);
+        let prepare_start = shared.trace_now();
         let ctx = shared.ensure_participant(txn, ts, from);
-        let can_commit = shared.ccp().validate(&ctx).is_granted();
+        let ccp = shared.ccp();
+        let can_commit = ccp.validate(&ctx).is_granted();
         if can_commit {
             for (item, value, version) in &writes {
                 shared
                     .storage
                     .stage_write(txn, item.clone(), value.clone(), *version);
             }
-            yes_voters.push(txn);
+            // Force the prepare record before voting YES.
+            shared.storage.prepare(txn);
         }
-        rounds.push((txn, ctx, can_commit, writes.len()));
-    }
-    // Phase 2: one forced append covers every YES-voter's prepare record —
-    // still strictly before any YES vote leaves this site.
-    shared.storage.prepare_many(&yes_voters);
-    // Phase 3: advance the participant machines and vote.
-    let mut votes: Vec<Msg> = Vec::with_capacity(group);
-    for (txn, ctx, can_commit, n_writes) in rounds {
+
         let action = {
             let mut participants = shared.participants.lock();
             let entry = participants.get_mut(&txn).expect("entry ensured above");
@@ -935,72 +898,374 @@ fn handle_prepare_batch(
             } else {
                 SiteMetrics::bump(&shared.metrics.votes_no);
                 // Voting NO releases local resources immediately.
+                self.cancel_parked(txn);
                 shared.storage.abort(txn);
-                shared.ccp().abort(&ctx);
+                ccp.abort(&ctx);
             }
             shared.trace_site_span(txn, Some(Phase::Prepare), "acp:vote", prepare_start, || {
-                format!("{vote:?} ({n_writes} writes, group of {group})")
+                format!("{vote:?} ({} writes)", writes.len())
             });
-            votes.push(Msg::AcpVote { txn, vote });
+            shared.send(from, Msg::AcpVote { txn, vote });
         }
     }
-    match votes.len() {
-        0 => {}
-        1 => shared.send(from, votes.pop().expect("one vote")),
-        _ => shared.send(from, Msg::Batch(votes)),
+
+    /// Handles a batch of PREPARE requests that arrived in one coalesced
+    /// envelope: each transaction is validated and staged individually, but
+    /// the prepare records of every YES-voter are forced with a **single**
+    /// [`rainbow_storage::SiteStorage::prepare_many`] group append — the
+    /// group-commit half of the reactor pipeline. Votes travel back to the
+    /// coordinator node in one batch envelope when there is more than one.
+    fn handle_prepare_batch(&mut self, from: NodeId, prepares: Vec<(TxnId, Timestamp, WriteSet)>) {
+        let shared = Arc::clone(&self.shared);
+        let prepare_start = shared.trace_now();
+        let group = prepares.len();
+        // Phase 1: validate through the CCP and stage the writes of every
+        // transaction that can commit.
+        let mut rounds: Vec<(TxnId, TxnContext, bool, usize)> = Vec::with_capacity(group);
+        let mut yes_voters: Vec<TxnId> = Vec::with_capacity(group);
+        for (txn, ts, writes) in prepares {
+            SiteMetrics::bump(&shared.metrics.served_requests);
+            shared.clock.observe(ts);
+            let ctx = shared.ensure_participant(txn, ts, from);
+            let can_commit = shared.ccp().validate(&ctx).is_granted();
+            if can_commit {
+                for (item, value, version) in &writes {
+                    shared
+                        .storage
+                        .stage_write(txn, item.clone(), value.clone(), *version);
+                }
+                yes_voters.push(txn);
+            }
+            rounds.push((txn, ctx, can_commit, writes.len()));
+        }
+        // Phase 2: one forced append covers every YES-voter's prepare record
+        // — still strictly before any YES vote leaves this site.
+        shared.storage.prepare_many(&yes_voters);
+        // Phase 3: advance the participant machines and vote.
+        let mut votes: Vec<Msg> = Vec::with_capacity(group);
+        for (txn, ctx, can_commit, n_writes) in rounds {
+            let action = {
+                let mut participants = shared.participants.lock();
+                let entry = participants.get_mut(&txn).expect("entry ensured above");
+                entry.last_activity = Instant::now();
+                entry.machine.on_prepare(can_commit)
+            };
+            if let ParticipantAction::SendVote(vote) = action {
+                if vote == Vote::Yes {
+                    SiteMetrics::bump(&shared.metrics.votes_yes);
+                } else {
+                    SiteMetrics::bump(&shared.metrics.votes_no);
+                    // Voting NO releases local resources immediately.
+                    self.cancel_parked(txn);
+                    shared.storage.abort(txn);
+                    shared.ccp().abort(&ctx);
+                }
+                shared.trace_site_span(
+                    txn,
+                    Some(Phase::Prepare),
+                    "acp:vote",
+                    prepare_start,
+                    || format!("{vote:?} ({n_writes} writes, group of {group})"),
+                );
+                votes.push(Msg::AcpVote { txn, vote });
+            }
+        }
+        match votes.len() {
+            0 => {}
+            1 => shared.send(from, votes.pop().expect("one vote")),
+            _ => shared.send(from, Msg::Batch(votes)),
+        }
+    }
+
+    /// Handles a batch of COMMIT decisions from one coalesced envelope:
+    /// every participant machine advances individually, then all the commit
+    /// records are forced with a single
+    /// [`rainbow_storage::SiteStorage::commit_many`] group append and the
+    /// writes installed under one store lock. Acks travel back in one batch
+    /// envelope when there is more than one.
+    fn handle_decision_commit_batch(&mut self, from: NodeId, txns: Vec<TxnId>) {
+        let apply_start = self.shared.trace_now();
+        let group = txns.len();
+        let mut to_apply: Vec<(TxnId, TxnContext)> = Vec::with_capacity(group);
+        let mut acks: Vec<Msg> = Vec::with_capacity(group);
+        for txn in txns {
+            self.cancel_parked(txn);
+            self.shared.mark_finished(txn);
+            let entry = self.shared.participants.lock().remove(&txn);
+            if let Some(mut entry) = entry {
+                match entry.machine.on_decision(Decision::Commit) {
+                    ParticipantAction::ApplyAndAck(Decision::Commit) => {
+                        to_apply.push((txn, entry.ctx));
+                    }
+                    ParticipantAction::ApplyAndAck(Decision::Abort) => {
+                        self.apply_decision(&entry.ctx, Decision::Abort);
+                    }
+                    _ => {}
+                }
+            }
+            // Ack even without a participant entry (already applied, cleaned
+            // up, or crashed and recovered), exactly like the single path.
+            acks.push(Msg::AcpAck { txn });
+        }
+        let shared = &self.shared;
+        let apply_ids: Vec<TxnId> = to_apply.iter().map(|(txn, _)| *txn).collect();
+        let write_sets = shared.storage.commit_many(&apply_ids);
+        let ccp = shared.ccp();
+        for ((txn, ctx), writes) in to_apply.iter().zip(write_sets.iter()) {
+            ccp.commit(ctx, writes);
+            shared.trace_site_span(
+                *txn,
+                Some(Phase::CommitApply),
+                "apply:commit",
+                apply_start,
+                || format!("{} writes installed (group of {group})", writes.len()),
+            );
+        }
+        match acks.len() {
+            0 => {}
+            1 => shared.send(from, acks.pop().expect("one ack")),
+            _ => shared.send(from, Msg::Batch(acks)),
+        }
+    }
+
+    /// Handles the coordinator's decision. Acknowledges even without a
+    /// participant entry (already applied, cleaned up, or we crashed and
+    /// recovered) so the coordinator can finish.
+    fn handle_decision(&mut self, from: NodeId, txn: TxnId, decision: Decision) {
+        self.shared.mark_finished(txn);
+        let entry = self.shared.participants.lock().remove(&txn);
+        if let Some(mut entry) = entry {
+            if let ParticipantAction::ApplyAndAck(applied) = entry.machine.on_decision(decision) {
+                self.apply_decision(&entry.ctx, applied);
+            }
+        }
+        self.shared.send(from, Msg::AcpAck { txn });
+    }
+
+    /// Handles the reply to a status query sent for an in-doubt transaction
+    /// (or by a blocked participant).
+    fn handle_status_reply(&mut self, txn: TxnId, decision: Option<Decision>) {
+        // Presumed abort: no decision on record means abort.
+        let decision = decision.unwrap_or(Decision::Abort);
+
+        // Case 1: an in-doubt transaction from crash recovery.
+        if let Some(writes) = self.shared.in_doubt.lock().remove(&txn) {
+            match decision {
+                Decision::Commit => self.shared.storage.commit_writes(txn, writes),
+                Decision::Abort => self.shared.storage.abort(txn),
+            }
+            return;
+        }
+
+        // Case 2: a blocked (prepared) participant resolving via its
+        // coordinator.
+        let entry = self.shared.participants.lock().remove(&txn);
+        if let Some(mut entry) = entry {
+            self.shared.mark_finished(txn);
+            if let ParticipantAction::ApplyAndAck(applied) = entry.machine.on_decision(decision) {
+                self.apply_decision(&entry.ctx, applied);
+            }
+        }
+    }
+
+    /// Applies a commit/abort decision to storage and the CCP, after
+    /// withdrawing any access of the transaction still parked here.
+    fn apply_decision(&mut self, ctx: &TxnContext, decision: Decision) {
+        self.cancel_parked(ctx.id);
+        let shared = &self.shared;
+        let apply_start = shared.trace_now();
+        let ccp = shared.ccp();
+        match decision {
+            Decision::Commit => {
+                let writes = shared.storage.commit(ctx.id);
+                ccp.commit(ctx, &writes);
+                shared.trace_site_span(
+                    ctx.id,
+                    Some(Phase::CommitApply),
+                    "apply:commit",
+                    apply_start,
+                    || format!("{} writes installed", writes.len()),
+                );
+            }
+            Decision::Abort => {
+                shared.storage.abort(ctx.id);
+                ccp.abort(ctx);
+                shared.trace_site_span(ctx.id, None, "apply:abort", apply_start, String::new);
+            }
+        }
+    }
+
+    /// Cleans up transactions whose coordinator never came back, so their
+    /// locks do not wedge the site forever. Prepared participants ask the
+    /// coordinator for the decision (cooperative termination); working
+    /// participants are aborted unilaterally. Also forgets finished
+    /// transactions older than the horizon, which bounds `finished`.
+    fn run_janitor(&mut self) {
+        let horizon = self.shared.stack.janitor_horizon();
+        let now = Instant::now();
+        let mut stale_working: Vec<(TxnId, TxnContext)> = Vec::new();
+        let mut stale_prepared: Vec<(TxnId, NodeId)> = Vec::new();
+        self.shared
+            .finished
+            .lock()
+            .retain(|_, at| now.duration_since(*at) < horizon);
+        self.shared.participants.lock().retain(|txn, entry| {
+            if now.duration_since(entry.last_activity) < horizon {
+                return true;
+            }
+            match entry.machine.state() {
+                ParticipantState::Working => {
+                    stale_working.push((*txn, entry.ctx));
+                    false
+                }
+                ParticipantState::Prepared | ParticipantState::PreCommitted => {
+                    // Keep the entry (still blocked / uncertain) but ask the
+                    // coordinator what happened; refresh the activity stamp
+                    // so we do not spam queries every janitor pass.
+                    stale_prepared.push((*txn, entry.coordinator));
+                    entry.last_activity = Instant::now();
+                    true
+                }
+                ParticipantState::Committed | ParticipantState::Aborted => false,
+            }
+        });
+        for (txn, ctx) in stale_working {
+            SiteMetrics::bump(&self.shared.metrics.janitor_cleanups);
+            self.shared.mark_finished(txn);
+            self.apply_decision(&ctx, Decision::Abort);
+        }
+        for (txn, coordinator) in stale_prepared {
+            self.shared.send(coordinator, Msg::AcpStatusQuery { txn });
+        }
+        // In-doubt transactions found during crash recovery keep asking
+        // their coordinator until an answer arrives. The initial query (sent
+        // inside `recover_from_crash`) is dropped whenever the fault
+        // controller still marks this site crashed — the normal recovery
+        // order — so without this retry an in-doubt commit could stay
+        // uninstalled forever.
+        let in_doubt: Vec<TxnId> = self.shared.in_doubt.lock().keys().copied().collect();
+        for txn in in_doubt {
+            self.shared
+                .send(NodeId::Site(txn.home), Msg::AcpStatusQuery { txn });
+        }
     }
 }
 
-/// Handles a batch of COMMIT decisions from one coalesced envelope: every
-/// participant machine advances individually, then all the commit records
-/// are forced with a single [`rainbow_storage::SiteStorage::commit_many`]
-/// group append and the writes installed under one store lock. Acks travel
-/// back in one batch envelope when there is more than one.
-fn handle_decision_commit_batch(shared: &Arc<SiteShared>, from: NodeId, txns: Vec<TxnId>) {
-    let apply_start = shared.trace_now();
-    let group = txns.len();
-    let mut to_apply: Vec<(TxnId, TxnContext)> = Vec::with_capacity(group);
-    let mut acks: Vec<Msg> = Vec::with_capacity(group);
-    for txn in txns {
-        shared.finished.lock().insert(txn);
-        let entry = shared.participants.lock().remove(&txn);
-        if let Some(mut entry) = entry {
-            match entry.machine.on_decision(Decision::Commit) {
-                ParticipantAction::ApplyAndAck(Decision::Commit) => {
-                    to_apply.push((txn, entry.ctx));
-                }
-                ParticipantAction::ApplyAndAck(Decision::Abort) => {
-                    apply_decision(shared, &entry.ctx, Decision::Abort);
-                }
-                _ => {}
-            }
-        }
-        // Ack even without a participant entry (already applied, cleaned
-        // up, or crashed and recovered), exactly like the single path.
-        acks.push(Msg::AcpAck { txn });
+/// Whether handling `msg` can release CCP state (a decision, a NO vote, an
+/// abort of a refused grant) or wound a lock holder (a copy access under
+/// wound-wait): the events after which parked accesses are asked again.
+fn may_unblock_parked(msg: &Msg) -> bool {
+    matches!(
+        msg,
+        Msg::CopyRead { .. }
+            | Msg::CopyPrewrite { .. }
+            | Msg::AcpPrepare { .. }
+            | Msg::AcpDecision { .. }
+            | Msg::AcpStatusReply { .. }
+            | Msg::Batch(_)
+    )
+}
+
+/// Routes a coordinator response to the coordinator waiting for it.
+fn route_to_coordinator(shared: &SiteShared, envelope: Envelope<Msg>) {
+    let Some(txn) = envelope.payload.txn() else {
+        return;
+    };
+    if let Some(pool) = shared.reactor.get() {
+        pool.route(txn.seq, ReactorEvent::Deliver(envelope));
+        return;
     }
-    let apply_ids: Vec<TxnId> = to_apply.iter().map(|(txn, _)| *txn).collect();
-    let write_sets = shared.storage.commit_many(&apply_ids);
-    let ccp = shared.ccp();
-    for ((txn, ctx), writes) in to_apply.iter().zip(write_sets.iter()) {
-        ccp.commit(ctx, writes);
-        shared.trace_site_span(
-            *txn,
-            Some(Phase::CommitApply),
-            "apply:commit",
-            apply_start,
-            || format!("{} writes installed (group of {group})", writes.len()),
+    if let Some(tx) = shared.pending_replies.lock().get(&txn) {
+        let _ = tx.send(envelope);
+    }
+}
+
+/// Routes a client command to the coordinator driving the conversation.
+/// When no worker is registered any more (the conversation idled out and
+/// was aborted, or the site crashed and recovered), tells the client instead
+/// of leaving it to its timeout; the reactor path answers `Gone` itself.
+fn route_txn_op(shared: &SiteShared, txn: TxnId, envelope: Envelope<Msg>) {
+    if let Some(pool) = shared.reactor.get() {
+        pool.route(txn.seq, ReactorEvent::Deliver(envelope));
+        return;
+    }
+    let client = envelope.from;
+    let routed = match shared.pending_replies.lock().get(&txn) {
+        Some(tx) => tx.send(envelope).is_ok(),
+        None => false,
+    };
+    if !routed {
+        shared.send(
+            client,
+            Msg::TxnOpReply {
+                txn,
+                reply: OpReply::Gone,
+            },
         );
     }
-    match acks.len() {
-        0 => {}
-        1 => shared.send(from, acks.pop().expect("one ack")),
-        _ => shared.send(from, Msg::Batch(acks)),
+}
+
+/// Starts a client conversation coordinated by this site.
+fn begin_conversation(shared: &Arc<SiteShared>, client: NodeId, label: String, request: u64) {
+    SiteMetrics::bump(&shared.metrics.home_transactions);
+    if let Some(pool) = shared.reactor.get() {
+        // Reactor mode: allocate the id here (its sequence number pins the
+        // transaction to a reactor) and hand the conversation to the owning
+        // event loop.
+        let txn = TxnId::new(shared.id, shared.txn_seq.fetch_add(1, Ordering::Relaxed));
+        let ts = shared.clock.next();
+        pool.route(
+            txn.seq,
+            ReactorEvent::Begin {
+                txn,
+                ts,
+                label,
+                client,
+                request,
+            },
+        );
+    } else {
+        let worker_shared = Arc::clone(shared);
+        // "The site dedicates one thread to process it." The thread drives
+        // an interactive conversation instead of a fixed op list.
+        let _ = std::thread::Builder::new()
+            .name(format!("rainbow-txn-{}", shared.id.0))
+            .spawn(move || run_interactive(worker_shared, label, client, request));
     }
+}
+
+/// The denial a refused copy access carries: a lock conflict with no known
+/// holder.
+fn lock_conflict(item: &ItemId) -> AbortCause {
+    AbortCause::CcpLockConflict {
+        item: item.clone(),
+        holder: None,
+    }
+}
+
+/// Answers a copy access.
+fn send_copy_reply(
+    shared: &SiteShared,
+    from: NodeId,
+    txn: TxnId,
+    item: ItemId,
+    access: CopyAccess,
+    result: CopyAccessResult,
+) {
+    shared.send(
+        from,
+        Msg::CopyReply {
+            txn,
+            item,
+            prewrite: access == CopyAccess::Prewrite,
+            for_update: access == CopyAccess::Read { for_update: true },
+            result,
+        },
+    );
 }
 
 /// Handles the 3PC PRE-COMMIT message.
-fn handle_precommit(shared: &Arc<SiteShared>, from: NodeId, txn: TxnId) {
+fn handle_precommit(shared: &SiteShared, from: NodeId, txn: TxnId) {
     let action = {
         let mut participants = shared.participants.lock();
         match participants.get_mut(&txn) {
@@ -1013,126 +1278,6 @@ fn handle_precommit(shared: &Arc<SiteShared>, from: NodeId, txn: TxnId) {
     };
     if action == ParticipantAction::SendPreCommitAck {
         shared.send(from, Msg::AcpPreCommitAck { txn });
-    }
-}
-
-/// Handles the coordinator's decision.
-fn handle_decision(shared: &Arc<SiteShared>, from: NodeId, txn: TxnId, decision: Decision) {
-    shared.finished.lock().insert(txn);
-    let entry = shared.participants.lock().remove(&txn);
-    match entry {
-        Some(mut entry) => {
-            let action = entry.machine.on_decision(decision);
-            if let ParticipantAction::ApplyAndAck(applied) = action {
-                apply_decision(shared, &entry.ctx, applied);
-            }
-            shared.send(from, Msg::AcpAck { txn });
-        }
-        None => {
-            // We have no record (already applied, cleaned up, or we crashed
-            // and recovered): acknowledge so the coordinator can finish.
-            shared.send(from, Msg::AcpAck { txn });
-        }
-    }
-}
-
-/// Handles the reply to a status query sent for an in-doubt transaction (or
-/// by a blocked participant).
-fn handle_status_reply(shared: &Arc<SiteShared>, txn: TxnId, decision: Option<Decision>) {
-    // Presumed abort: no decision on record means abort.
-    let decision = decision.unwrap_or(Decision::Abort);
-
-    // Case 1: an in-doubt transaction from crash recovery.
-    if let Some(writes) = shared.in_doubt.lock().remove(&txn) {
-        match decision {
-            Decision::Commit => shared.storage.commit_writes(txn, writes),
-            Decision::Abort => shared.storage.abort(txn),
-        }
-        return;
-    }
-
-    // Case 2: a blocked (prepared) participant resolving via its coordinator.
-    let entry = shared.participants.lock().remove(&txn);
-    if let Some(mut entry) = entry {
-        shared.finished.lock().insert(txn);
-        if let ParticipantAction::ApplyAndAck(applied) = entry.machine.on_decision(decision) {
-            apply_decision(shared, &entry.ctx, applied);
-        }
-    }
-}
-
-/// Applies a commit/abort decision to storage and the CCP.
-fn apply_decision(shared: &Arc<SiteShared>, ctx: &TxnContext, decision: Decision) {
-    let apply_start = shared.trace_now();
-    let ccp = shared.ccp();
-    match decision {
-        Decision::Commit => {
-            let writes = shared.storage.commit(ctx.id);
-            ccp.commit(ctx, &writes);
-            shared.trace_site_span(
-                ctx.id,
-                Some(Phase::CommitApply),
-                "apply:commit",
-                apply_start,
-                || format!("{} writes installed", writes.len()),
-            );
-        }
-        Decision::Abort => {
-            shared.storage.abort(ctx.id);
-            ccp.abort(ctx);
-            shared.trace_site_span(ctx.id, None, "apply:abort", apply_start, String::new);
-        }
-    }
-}
-
-/// Cleans up transactions whose coordinator never came back, so their locks
-/// do not wedge the site forever. Prepared participants ask the coordinator
-/// for the decision (cooperative termination); working participants are
-/// aborted unilaterally.
-fn run_janitor(shared: &Arc<SiteShared>) {
-    let horizon = shared.stack.janitor_horizon();
-    let now = Instant::now();
-    let mut stale_working: Vec<(TxnId, TxnContext)> = Vec::new();
-    let mut stale_prepared: Vec<(TxnId, NodeId)> = Vec::new();
-    {
-        let mut participants = shared.participants.lock();
-        participants.retain(|txn, entry| {
-            if now.duration_since(entry.last_activity) < horizon {
-                return true;
-            }
-            match entry.machine.state() {
-                ParticipantState::Working => {
-                    stale_working.push((*txn, entry.ctx));
-                    false
-                }
-                ParticipantState::Prepared | ParticipantState::PreCommitted => {
-                    // Keep the entry (still blocked / uncertain) but ask the
-                    // coordinator what happened; refresh the activity stamp so
-                    // we do not spam queries every janitor pass.
-                    stale_prepared.push((*txn, entry.coordinator));
-                    entry.last_activity = Instant::now();
-                    true
-                }
-                ParticipantState::Committed | ParticipantState::Aborted => false,
-            }
-        });
-    }
-    for (txn, ctx) in stale_working {
-        SiteMetrics::bump(&shared.metrics.janitor_cleanups);
-        shared.finished.lock().insert(txn);
-        apply_decision(shared, &ctx, Decision::Abort);
-    }
-    for (txn, coordinator) in stale_prepared {
-        shared.send(coordinator, Msg::AcpStatusQuery { txn });
-    }
-    // In-doubt transactions found during crash recovery keep asking their
-    // coordinator until an answer arrives. The initial query (sent inside
-    // `recover_from_crash`) is dropped whenever the fault controller still
-    // marks this site crashed — the normal recovery order — so without this
-    // retry an in-doubt commit could stay uninstalled forever.
-    let in_doubt: Vec<TxnId> = shared.in_doubt.lock().keys().copied().collect();
-    for txn in in_doubt {
-        shared.send(NodeId::Site(txn.home), Msg::AcpStatusQuery { txn });
     }
 }
 
@@ -1428,5 +1573,286 @@ mod tests {
         let snapshot = site.database_snapshot();
         assert!(snapshot.contains(&(ItemId::new("x0"), Value::Int(5), Version(1))));
         assert_eq!(site.active_transactions(), 0);
+    }
+    /// One test transaction talking to a site from its own client node, so
+    /// replies to different transactions never interleave in one mailbox.
+    struct Probe {
+        net: rainbow_net::NetHandle<Msg>,
+        node: NodeId,
+        mailbox: Receiver<Envelope<Msg>>,
+        txn: TxnId,
+        ts: Timestamp,
+    }
+
+    impl Probe {
+        fn new(net: &SimNetwork<Msg>, seq: u64, ts: u64) -> Probe {
+            let node = NodeId::Client(seq as u32);
+            Probe {
+                net: net.handle(),
+                node,
+                mailbox: net.register(node),
+                txn: TxnId::new(SiteId(9), seq),
+                ts: Timestamp::new(ts, 9),
+            }
+        }
+
+        fn send(&self, msg: Msg) {
+            self.net.send(self.node, NodeId::site(0), msg).unwrap();
+        }
+
+        fn read(&self, item: &str) {
+            self.send(Msg::CopyRead {
+                txn: self.txn,
+                ts: self.ts,
+                item: ItemId::new(item),
+                for_update: false,
+            });
+        }
+
+        fn prewrite(&self, item: &str) {
+            self.send(Msg::CopyPrewrite {
+                txn: self.txn,
+                ts: self.ts,
+                item: ItemId::new(item),
+            });
+        }
+
+        fn decide(&self, decision: Decision) {
+            self.send(Msg::AcpDecision {
+                txn: self.txn,
+                decision,
+            });
+        }
+
+        /// Prepares `writes` (voting YES is asserted) and commits them.
+        fn commit(&self, writes: Vec<(ItemId, Value, Version)>) {
+            self.send(Msg::AcpPrepare {
+                txn: self.txn,
+                ts: self.ts,
+                writes,
+            });
+            assert!(matches!(
+                self.recv(),
+                Msg::AcpVote {
+                    vote: Vote::Yes,
+                    ..
+                }
+            ));
+            self.decide(Decision::Commit);
+            assert!(matches!(self.recv(), Msg::AcpAck { .. }));
+        }
+
+        fn recv(&self) -> Msg {
+            self.mailbox
+                .recv_timeout(Duration::from_secs(5))
+                .expect("no reply from the site")
+                .payload
+        }
+
+        /// The result of the next copy reply.
+        fn copy_result(&self) -> CopyAccessResult {
+            match self.recv() {
+                Msg::CopyReply { txn, result, .. } => {
+                    assert_eq!(txn, self.txn);
+                    result
+                }
+                other => panic!("expected a copy reply, got {other:?}"),
+            }
+        }
+
+        /// Asserts that nothing arrives for a while: the access is parked.
+        fn assert_parked(&self) {
+            if let Ok(envelope) = self.mailbox.recv_timeout(Duration::from_millis(100)) {
+                panic!("access was not parked: {:?}", envelope.payload);
+            }
+        }
+    }
+
+    fn granted(result: CopyAccessResult) -> (Option<Value>, Version) {
+        match result {
+            CopyAccessResult::Granted { value, version } => (value, version),
+            other => panic!("expected a grant, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn parked_read_is_granted_the_post_commit_value() {
+        let net = SimNetwork::<Msg>::new(NetworkConfig::perfect());
+        let stack = quick_stack().with_lock_wait_timeout(Duration::from_secs(10));
+        let site = build_site(&net, 0, &schema_for(&[SiteId(0)]), stack);
+        let (holder, reader) = (Probe::new(&net, 1, 1), Probe::new(&net, 2, 2));
+        holder.prewrite("x0");
+        granted(holder.copy_result());
+        // The exclusive holder blocks the reader: it parks.
+        reader.read("x0");
+        reader.assert_parked();
+        assert_eq!(site.shared.ccp().registered_waits(), 2, "waiter + edge");
+        // The holder's commit wakes it with the value the commit installed.
+        holder.commit(vec![(ItemId::new("x0"), Value::Int(777), Version(1))]);
+        assert_eq!(
+            granted(reader.copy_result()),
+            (Some(Value::Int(777)), Version(1))
+        );
+        assert_eq!(site.shared.ccp().registered_waits(), 0);
+        reader.decide(Decision::Commit);
+        assert!(matches!(reader.recv(), Msg::AcpAck { .. }));
+        assert_eq!(site.active_transactions(), 0);
+    }
+
+    #[test]
+    fn parked_access_past_its_deadline_is_denied_and_leaves_no_wait() {
+        let net = SimNetwork::<Msg>::new(NetworkConfig::perfect());
+        let stack = quick_stack()
+            .with_deadlock_policy(rainbow_common::protocol::DeadlockPolicy::WaitForGraph);
+        let site = build_site(&net, 0, &schema_for(&[SiteId(0)]), stack);
+        let (holder, reader) = (Probe::new(&net, 1, 1), Probe::new(&net, 2, 2));
+        holder.prewrite("x0");
+        granted(holder.copy_result());
+        let parked_at = Instant::now();
+        reader.read("x0");
+        assert!(matches!(
+            reader.copy_result(),
+            CopyAccessResult::Denied(AbortCause::CcpLockConflict { .. })
+        ));
+        assert!(parked_at.elapsed() >= Duration::from_millis(100));
+        // No waiter and no wait-for edge outlive the denial.
+        assert_eq!(site.shared.ccp().registered_waits(), 0);
+    }
+
+    #[test]
+    fn copy_read_then_abort_leaves_no_lock_and_no_participant() {
+        let net = SimNetwork::<Msg>::new(NetworkConfig::perfect());
+        let site = build_site(&net, 0, &schema_for(&[SiteId(0)]), quick_stack());
+        let probe = Probe::new(&net, 1, 1);
+        probe.read("x0");
+        probe.decide(Decision::Abort);
+        granted(probe.copy_result());
+        assert!(matches!(probe.recv(), Msg::AcpAck { .. }));
+        assert_eq!(site.active_transactions(), 0);
+        assert!(site.lingering_participants().is_empty());
+        // A late access for the decided transaction is refused and creates
+        // no participant entry either.
+        probe.read("x1");
+        assert!(matches!(
+            probe.copy_result(),
+            CopyAccessResult::Denied(AbortCause::CcpLockConflict { .. })
+        ));
+        assert!(site.lingering_participants().is_empty());
+        assert_eq!(site.active_transactions(), 0);
+    }
+
+    #[test]
+    fn timestamp_reads_behind_a_pending_prewrite_park_until_it_resolves() {
+        use rainbow_common::protocol::CcpKind;
+        for ccp in [
+            CcpKind::TimestampOrdering,
+            CcpKind::MultiversionTimestampOrdering,
+        ] {
+            for decision in [Decision::Commit, Decision::Abort] {
+                let net = SimNetwork::<Msg>::new(NetworkConfig::perfect());
+                let stack = quick_stack()
+                    .with_ccp(ccp)
+                    .with_lock_wait_timeout(Duration::from_secs(10));
+                let site = build_site(&net, 0, &schema_for(&[SiteId(0)]), stack);
+                let (writer, reader) = (Probe::new(&net, 1, 10), Probe::new(&net, 2, 20));
+                writer.prewrite("x0");
+                granted(writer.copy_result());
+                reader.read("x0");
+                reader.assert_parked();
+                let expected = match decision {
+                    Decision::Commit => {
+                        writer.commit(vec![(ItemId::new("x0"), Value::Int(5), Version(1))]);
+                        (Some(Value::Int(5)), Version(1))
+                    }
+                    Decision::Abort => {
+                        writer.decide(Decision::Abort);
+                        assert!(matches!(writer.recv(), Msg::AcpAck { .. }));
+                        (Some(Value::Int(100)), Version(0))
+                    }
+                };
+                assert_eq!(
+                    granted(reader.copy_result()),
+                    expected,
+                    "{ccp} reader after {decision:?}"
+                );
+                reader.decide(Decision::Commit);
+                assert!(matches!(reader.recv(), Msg::AcpAck { .. }));
+                assert_eq!(site.active_transactions(), 0);
+            }
+        }
+    }
+
+    #[test]
+    fn wait_for_graph_cycle_between_parked_accesses_is_a_deadlock() {
+        let net = SimNetwork::<Msg>::new(NetworkConfig::perfect());
+        let stack = quick_stack()
+            .with_deadlock_policy(rainbow_common::protocol::DeadlockPolicy::WaitForGraph)
+            .with_lock_wait_timeout(Duration::from_secs(10));
+        let site = build_site(&net, 0, &schema_for(&[SiteId(0)]), stack);
+        let (t1, t2) = (Probe::new(&net, 1, 1), Probe::new(&net, 2, 2));
+        t1.prewrite("x0");
+        granted(t1.copy_result());
+        t2.prewrite("x1");
+        granted(t2.copy_result());
+        // T1 parks on x1; T2 asking for x0 closes the cycle and is the
+        // victim, at once.
+        t1.prewrite("x1");
+        t1.assert_parked();
+        t2.prewrite("x0");
+        assert!(matches!(
+            t2.copy_result(),
+            CopyAccessResult::Denied(AbortCause::CcpDeadlock { .. })
+        ));
+        // The victim aborts; T1's parked access goes through.
+        t2.decide(Decision::Abort);
+        assert!(matches!(t2.recv(), Msg::AcpAck { .. }));
+        granted(t1.copy_result());
+        t1.decide(Decision::Abort);
+        assert!(matches!(t1.recv(), Msg::AcpAck { .. }));
+        assert_eq!(site.active_transactions(), 0);
+        assert_eq!(site.shared.ccp().registered_waits(), 0);
+    }
+
+    #[test]
+    fn transactions_active_at_a_crash_are_refused_after_recovery() {
+        let net = SimNetwork::<Msg>::new(NetworkConfig::perfect());
+        let site = build_site(&net, 0, &schema_for(&[SiteId(0)]), quick_stack());
+        let (before, after) = (Probe::new(&net, 1, 1), Probe::new(&net, 2, 2));
+        before.prewrite("x0");
+        granted(before.copy_result());
+        site.recover_from_crash().unwrap();
+        // The crash wiped the exclusive lock on x0; the transaction that
+        // held it may not take new locks here and later vote YES on them.
+        before.prewrite("x1");
+        assert!(matches!(
+            before.copy_result(),
+            CopyAccessResult::Denied(AbortCause::CcpLockConflict { .. })
+        ));
+        // A transaction that starts after recovery is served normally.
+        after.prewrite("x0");
+        granted(after.copy_result());
+    }
+
+    #[test]
+    fn janitor_forgets_finished_transactions_past_the_horizon() {
+        let net = SimNetwork::<Msg>::new(NetworkConfig::perfect());
+        // Horizon: 3 × (5 + 5 + 5) ms.
+        let stack = ProtocolStack::default()
+            .with_lock_wait_timeout(Duration::from_millis(5))
+            .with_commit_timeout(Duration::from_millis(5))
+            .with_quorum_timeout(Duration::from_millis(5));
+        let site = build_site(&net, 0, &schema_for(&[SiteId(0)]), stack);
+        for seq in 1..=3 {
+            let probe = Probe::new(&net, seq, seq);
+            probe.decide(Decision::Abort);
+            assert!(matches!(probe.recv(), Msg::AcpAck { .. }));
+        }
+        assert_eq!(site.shared.finished.lock().len(), 3);
+        // The janitor runs every 200 ms; give it a few passes.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !site.shared.finished.lock().is_empty() {
+            assert!(Instant::now() < deadline, "finished set never shrank");
+            std::thread::sleep(Duration::from_millis(20));
+        }
     }
 }

@@ -4,7 +4,9 @@
 //! state machines.
 
 use proptest::prelude::*;
-use rainbow_cc::{CcProtocol, LockManager, LockMode, MultiversionTimestampOrdering, TxnContext};
+use rainbow_cc::{
+    CcProtocol, LockManager, LockMode, LockStep, MultiversionTimestampOrdering, TxnContext,
+};
 use rainbow_commit::{Coordinator, CoordinatorAction, Decision, Vote};
 use rainbow_common::config::ItemPlacement;
 use rainbow_common::protocol::{AcpKind, DeadlockPolicy};
@@ -95,9 +97,13 @@ proptest! {
                 continue;
             }
             let mode = if exclusive { LockMode::Exclusive } else { LockMode::Shared };
-            let granted = lm
-                .acquire(txn, Timestamp::new(txn_seq + 1, 0), &items[item_idx], mode)
-                .is_ok();
+            let item = &items[item_idx];
+            let step = lm.request(txn, Timestamp::new(txn_seq + 1, 0), item, mode);
+            if step == Ok(LockStep::Wait) {
+                // Give up at once, as a timed-out waiter would.
+                lm.cancel_wait(txn, item);
+            }
+            let granted = step == Ok(LockStep::Granted);
             if granted {
                 let held = holders.entry(item_idx).or_default();
                 held.retain(|(t, _)| *t != txn_seq);
