@@ -34,7 +34,7 @@ impl Deserialize for RawJson {
 /// One metric compared between baseline and current.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MetricDelta {
-    /// Dotted path of the numeric leaf, e.g. `levels.2.reactor_txn_per_sec`.
+    /// Dotted path of the numeric leaf, e.g. `levels.2.txn_per_sec`.
     pub metric: String,
     /// The committed baseline value.
     pub baseline: f64,
@@ -167,14 +167,14 @@ mod tests {
         "config": {"threads": 4, "quick": false},
         "lock": {"baseline_ops_per_sec": 1000.0, "speedup": 2.0},
         "levels": [
-            {"clients": 64, "reactor_txn_per_sec": 500.0, "us_per_txn": 2000.0}
+            {"clients": 64, "txn_per_sec": 500.0, "us_per_txn": 2000.0}
         ]
     }"#;
 
     #[test]
     fn gates_per_sec_and_speedup_leaves_only() {
         assert!(is_gated("lock.baseline_ops_per_sec"));
-        assert!(is_gated("levels.0.reactor_txn_per_sec"));
+        assert!(is_gated("levels.0.txn_per_sec"));
         assert!(is_gated("quorum.speedup"));
         assert!(!is_gated("levels.0.us_per_txn"));
         assert!(!is_gated("config.threads"));
@@ -196,7 +196,7 @@ mod tests {
         let report = compare(BASELINE, &current, 0.2).unwrap();
         assert!(!report.passed());
         assert_eq!(report.regressions.len(), 1);
-        assert_eq!(report.regressions[0].metric, "levels.0.reactor_txn_per_sec");
+        assert_eq!(report.regressions[0].metric, "levels.0.txn_per_sec");
     }
 
     #[test]
@@ -215,10 +215,10 @@ mod tests {
 
     #[test]
     fn a_missing_gated_metric_fails() {
-        let current = BASELINE.replace("reactor_txn_per_sec", "renamed_txn_rate");
+        let current = BASELINE.replace("txn_per_sec", "renamed_txn_rate");
         let report = compare(BASELINE, &current, 0.2).unwrap();
         assert!(!report.passed());
-        assert_eq!(report.missing, vec!["levels.0.reactor_txn_per_sec"]);
+        assert_eq!(report.missing, vec!["levels.0.txn_per_sec"]);
     }
 
     #[test]

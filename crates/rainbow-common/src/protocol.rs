@@ -194,44 +194,6 @@ impl fmt::Display for DeadlockPolicy {
     }
 }
 
-/// Which coordinator runtime drives interactive conversations at a site.
-///
-/// The paper's design — and the oracle the differential tests trust — is
-/// one thread per conversation, blocking on a per-transaction reply
-/// channel. The reactor is the production-shaped alternative: a small
-/// pool of sharded event loops, each owning the transactions pinned to it
-/// by `TxnId` hash and batching its outbound messages and commit-time log
-/// forces per tick. Both run the same protocol stack and must produce the
-/// same histories.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum CoordinatorMode {
-    /// One thread per interactive conversation (the paper's design).
-    #[default]
-    Threads,
-    /// Sharded event-loop pool with per-tick message + group-commit
-    /// batching.
-    Reactor,
-}
-
-impl CoordinatorMode {
-    /// Both modes, in presentation order — what matrices sweep over.
-    pub const ALL: [CoordinatorMode; 2] = [CoordinatorMode::Threads, CoordinatorMode::Reactor];
-
-    /// Stable lowercase name (matches the `RAINBOW_COORDINATOR` values).
-    pub fn name(&self) -> &'static str {
-        match self {
-            CoordinatorMode::Threads => "threads",
-            CoordinatorMode::Reactor => "reactor",
-        }
-    }
-}
-
-impl fmt::Display for CoordinatorMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.name())
-    }
-}
-
 /// The complete protocol stack of one Rainbow instance, as selected in the
 /// protocols configuration panel.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -252,16 +214,14 @@ pub struct ProtocolStack {
     /// Timeout used by the RCP when collecting copies/votes from copy
     /// holders.
     pub quorum_timeout: Duration,
-    /// When true (the default) the coordinator fans out the copy-access
-    /// requests of **all** of a transaction's operations concurrently and
-    /// collects the replies under one deadline; when false it assembles one
-    /// quorum at a time (the paper's strictly sequential RCP loop, kept for
-    /// comparison experiments and differential tests).
+    /// The shape of an operation's quorum plan. When true (the default)
+    /// the coordinator starts the quorums of every item the operation
+    /// touches (a multi-get, or the buffered writes at commit) at once and
+    /// collects the replies under one deadline; when false it starts one
+    /// quorum at a time, each under its own deadline (the paper's strictly
+    /// sequential RCP loop, kept for comparison experiments and
+    /// differential tests).
     pub parallel_quorums: bool,
-    /// Which coordinator runtime drives interactive conversations: one
-    /// thread per conversation (the paper's design, the default and the
-    /// differential oracle) or the sharded reactor event-loop pool.
-    pub coordinator: CoordinatorMode,
 }
 
 impl Default for ProtocolStack {
@@ -275,7 +235,6 @@ impl Default for ProtocolStack {
             commit_timeout: Duration::from_millis(1000),
             quorum_timeout: Duration::from_millis(1000),
             parallel_quorums: true,
-            coordinator: CoordinatorMode::default(),
         }
     }
 }
@@ -335,53 +294,10 @@ impl ProtocolStack {
         self
     }
 
-    /// Applies the `RAINBOW_PARALLEL_QUORUMS` environment variable, when
-    /// set, to the quorum fan-out knob: `0`, `false`, `off`, `no`,
-    /// `sequential` or `seq` select the sequential path, anything else the
-    /// parallel one. An unset variable leaves the stack unchanged.
-    ///
-    /// The integration tests build their stacks through this helper so CI
-    /// can run the whole suite under both fan-out paths as matrix legs.
-    pub fn with_parallel_quorums_from_env(mut self) -> Self {
-        if let Ok(raw) = std::env::var("RAINBOW_PARALLEL_QUORUMS") {
-            let value = raw.trim().to_ascii_lowercase();
-            self.parallel_quorums = !matches!(
-                value.as_str(),
-                "0" | "false" | "off" | "no" | "sequential" | "seq"
-            );
-        }
-        self
-    }
-
-    /// Builder-style coordinator-runtime selection.
-    pub fn with_coordinator(mut self, mode: CoordinatorMode) -> Self {
-        self.coordinator = mode;
-        self
-    }
-
-    /// Applies the `RAINBOW_COORDINATOR` environment variable, when set,
-    /// to the coordinator-runtime knob: `reactor` selects the sharded
-    /// event-loop pool, `threads` the thread-per-conversation path;
-    /// anything else (or unset) leaves the stack unchanged.
-    ///
-    /// Like [`ProtocolStack::with_parallel_quorums_from_env`], the
-    /// integration tests build their stacks through this helper so CI can
-    /// run the whole suite under both coordinator runtimes as matrix legs.
-    pub fn with_coordinator_from_env(mut self) -> Self {
-        if let Ok(raw) = std::env::var("RAINBOW_COORDINATOR") {
-            match raw.trim().to_ascii_lowercase().as_str() {
-                "reactor" => self.coordinator = CoordinatorMode::Reactor,
-                "threads" => self.coordinator = CoordinatorMode::Threads,
-                _ => {}
-            }
-        }
-        self
-    }
-
     /// How long a participant entry — or an idle interactive conversation —
     /// may sit without activity before a site presumes its driver dead and
     /// aborts it: three full protocol-timeout windows. The site janitor,
-    /// the coordinator's conversation loop and the chaos harness's
+    /// the coordinator's idle-client deadline and the chaos harness's
     /// quiescence deadline all share this one definition, so a vanished
     /// client frees resources everywhere on the same clock and the harness
     /// never declares a run stuck while a coordinator is still legitimately
@@ -461,60 +377,6 @@ mod tests {
                 assert_ne!(a, b);
             }
         }
-    }
-
-    #[test]
-    fn parallel_quorums_env_knob_overrides_the_default() {
-        // No other test in this binary reads this variable, so mutating the
-        // process environment here cannot race with parallel test threads.
-        std::env::set_var("RAINBOW_PARALLEL_QUORUMS", "sequential");
-        let stack = ProtocolStack::default().with_parallel_quorums_from_env();
-        assert!(!stack.parallel_quorums);
-        std::env::set_var("RAINBOW_PARALLEL_QUORUMS", "1");
-        let stack = ProtocolStack::default().with_parallel_quorums_from_env();
-        assert!(stack.parallel_quorums);
-        std::env::remove_var("RAINBOW_PARALLEL_QUORUMS");
-        let stack = ProtocolStack::default()
-            .with_parallel_quorums(false)
-            .with_parallel_quorums_from_env();
-        assert!(!stack.parallel_quorums, "unset env leaves the knob alone");
-    }
-
-    #[test]
-    fn coordinator_env_knob_overrides_the_default() {
-        // No other test in this binary reads this variable, so mutating the
-        // process environment here cannot race with parallel test threads.
-        std::env::set_var("RAINBOW_COORDINATOR", "reactor");
-        let stack = ProtocolStack::default().with_coordinator_from_env();
-        assert_eq!(stack.coordinator, CoordinatorMode::Reactor);
-        std::env::set_var("RAINBOW_COORDINATOR", "THREADS");
-        let stack = ProtocolStack::default()
-            .with_coordinator(CoordinatorMode::Reactor)
-            .with_coordinator_from_env();
-        assert_eq!(stack.coordinator, CoordinatorMode::Threads);
-        std::env::set_var("RAINBOW_COORDINATOR", "garbage");
-        let stack = ProtocolStack::default()
-            .with_coordinator(CoordinatorMode::Reactor)
-            .with_coordinator_from_env();
-        assert_eq!(
-            stack.coordinator,
-            CoordinatorMode::Reactor,
-            "unknown values leave the knob alone"
-        );
-        std::env::remove_var("RAINBOW_COORDINATOR");
-        let stack = ProtocolStack::default().with_coordinator_from_env();
-        assert_eq!(stack.coordinator, CoordinatorMode::Threads);
-    }
-
-    #[test]
-    fn coordinator_mode_names_are_stable_and_round_trip() {
-        assert_eq!(CoordinatorMode::Threads.to_string(), "threads");
-        assert_eq!(CoordinatorMode::Reactor.to_string(), "reactor");
-        assert_eq!(CoordinatorMode::ALL.len(), 2);
-        let stack = ProtocolStack::default().with_coordinator(CoordinatorMode::Reactor);
-        let json = serde_json::to_string(&stack).unwrap();
-        let back: ProtocolStack = serde_json::from_str(&json).unwrap();
-        assert_eq!(back.coordinator, CoordinatorMode::Reactor);
     }
 
     #[test]

@@ -66,4 +66,4 @@ pub use runners::{
     run_protocol_sweep, FaultScenario, LatencySummary, ProgressRunner, SweepCell, SweepConfig,
     SweepReport, WorkloadRunner,
 };
-pub use session::{run_interactive_script, Session, WorkloadReport};
+pub use session::{run_conversation_script, Session, WorkloadReport};

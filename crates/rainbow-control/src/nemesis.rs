@@ -42,7 +42,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::time::{Duration, Instant};
 
-use crate::session::run_interactive_script;
+use crate::session::run_conversation_script;
 
 /// One fault (or fault-adjacent) event the nemesis injects.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -167,9 +167,7 @@ impl Default for NemesisConfig {
             stack: ProtocolStack::rainbow_default()
                 .with_lock_wait_timeout(Duration::from_millis(150))
                 .with_quorum_timeout(Duration::from_millis(400))
-                .with_commit_timeout(Duration::from_millis(400))
-                .with_parallel_quorums_from_env()
-                .with_coordinator_from_env(),
+                .with_commit_timeout(Duration::from_millis(400)),
             client_timeout: Duration::from_millis(800),
             storage: StorageConfig::from_env(),
             power_loss: true,
@@ -486,7 +484,7 @@ pub fn run_nemesis(config: &NemesisConfig, seed: u64) -> RainbowResult<NemesisRe
                 // Failures (abort-retry exhaustion, orphans) are fine: the
                 // coordinator records whatever actually happened.
                 let _ = client.run(&conversation.label, |txn| {
-                    run_interactive_script(txn, &conversation.script)
+                    run_conversation_script(txn, &conversation.script)
                 });
             }
         });

@@ -61,12 +61,12 @@ impl<'a> WorkloadRunner<'a> {
     }
 
     /// Runs a named conversational (interactive) workload profile.
-    pub fn run_interactive(
+    pub fn run_conversations(
         &self,
         profile: rainbow_wlg::InteractiveProfile,
         transactions: usize,
     ) -> RainbowResult<WorkloadReport> {
-        self.session.run_interactive(profile, transactions)
+        self.session.run_conversations(profile, transactions)
     }
 }
 

@@ -398,7 +398,7 @@ impl Session {
     /// write) interpreted against a live interactive `Txn` handle through
     /// the retry combinator, so aborted attempts restart with backoff. No
     /// pre-declared `TxnSpec` can express these workloads.
-    pub fn run_interactive(
+    pub fn run_conversations(
         &self,
         profile: InteractiveProfile,
         transactions: usize,
@@ -411,8 +411,9 @@ impl Session {
         let mut results = Vec::with_capacity(specs.len());
         for spec in &specs {
             let conversation_started = Instant::now();
-            let conversation =
-                client.run(&spec.label, |txn| run_interactive_script(txn, &spec.script));
+            let conversation = client.run(&spec.label, |txn| {
+                run_conversation_script(txn, &spec.script)
+            });
             results.push(match conversation {
                 Ok(((), receipt)) => TxnResult {
                     id: receipt.id,
@@ -515,9 +516,9 @@ impl Drop for Session {
 
 /// Interprets one generated [`InteractiveScript`] against a live transaction
 /// handle, making the conversation's decisions from the values the read
-/// quorums actually observed. Used by [`Session::run_interactive`] and
+/// quorums actually observed. Used by [`Session::run_conversations`] and
 /// available to examples and experiment harnesses.
-pub fn run_interactive_script(txn: &mut Txn, script: &InteractiveScript) -> Result<(), TxnError> {
+pub fn run_conversation_script(txn: &mut Txn, script: &InteractiveScript) -> Result<(), TxnError> {
     match script {
         InteractiveScript::ConditionalTransfer {
             source,
@@ -696,7 +697,7 @@ mod tests {
     fn interactive_profiles_run_to_completion() {
         let session = quick_session(3, 8);
         for profile in rainbow_wlg::InteractiveProfile::all() {
-            let report = session.run_interactive(profile, 6).unwrap();
+            let report = session.run_conversations(profile, 6).unwrap();
             assert_eq!(report.results.len(), 6, "{}", profile.name());
             assert!(
                 report.committed() > 0,

@@ -564,14 +564,14 @@ impl Cluster {
     }
 
     /// Stops every component: sites, the name server, the network.
-    /// Transactions still in flight are abandoned (their coordinator
-    /// workers drain on their own, bounded by the protocol timeouts).
+    /// Transactions still in flight end with their home site: a decision
+    /// already made stands, the rest abort with a site failure.
     ///
     /// Idempotent: the first call tears everything down, later calls (and
     /// the [`Drop`] impl, which delegates here) are no-ops — so examples
-    /// and early-return test paths can never leak site or coordinator
-    /// threads, whether they shut down explicitly or just let the cluster
-    /// fall out of scope.
+    /// and early-return test paths can never leak site threads, whether
+    /// they shut down explicitly or just let the cluster fall out of
+    /// scope.
     pub fn shutdown(&mut self) {
         if self.shut_down.swap(true, Ordering::SeqCst) {
             return;

@@ -10,13 +10,14 @@
 //! * [`name_server`] — the (single, per-instance) name server storing the
 //!   distribution, fragmentation and replication schema and answering
 //!   lookups from sites;
-//! * [`site`] — the Rainbow site runtime: a dispatcher thread, one worker
-//!   thread per in-flight transaction (exactly as in the paper: "the site
-//!   dedicates one thread to process it"), copy-access handling through the
-//!   configured CCP, and 2PC/3PC participant handling;
-//! * [`coordinator`] — the home-site transaction manager: drives the RCP
-//!   (quorum building per operation), then the ACP, and classifies aborts by
-//!   the layer that caused them;
+//! * [`site`] — the Rainbow site runtime: one event-loop thread per site
+//!   that serves copy accesses through the configured CCP, handles the
+//!   2PC/3PC participant side, and hosts the site's transaction
+//!   coordinators;
+//! * [`coordinator`] — the home-site transaction manager, one state
+//!   machine per transaction (the paper's "the site dedicates one thread to
+//!   process it"): drives the RCP (quorum building per operation), then the
+//!   ACP, and classifies aborts by the layer that caused them;
 //! * [`cluster`] — builds a complete Rainbow instance (network + name
 //!   server + sites) from configuration and offers the client API used by
 //!   the workload generator, the Session layer, the examples and the

@@ -32,8 +32,8 @@ pub enum CopyAccessResult {
 }
 
 /// One step of an interactive transaction conversation, sent by a client
-/// handle (`Txn`) to the coordinator worker driving the transaction at its
-/// home site. The coordinator is an op-driven state machine: it learns the
+/// handle (`Txn`) to the coordinator driving the transaction at its home
+/// site. The coordinator is an op-driven state machine: it learns the
 /// transaction one command at a time instead of receiving a pre-declared
 /// operation list.
 #[derive(Debug, Clone)]
@@ -267,12 +267,13 @@ pub enum Msg {
     // Batching
     // ------------------------------------------------------------------
     /// Several protocol messages for the same destination coalesced into
-    /// one envelope. The reactor coordinator flushes its per-tick outbox
-    /// this way (and a site answers a batch of prepares with a batch of
-    /// votes), so N messages to one site pay one trip through the network
-    /// simulator instead of N. The receiving dispatcher unpacks the batch
-    /// and handles each message exactly as if it had arrived alone;
-    /// message-count statistics still count the logical messages.
+    /// one envelope. A site dispatcher flushes its coordinators' outbox
+    /// this way once per mailbox drain (and answers a batch of prepares
+    /// with a batch of votes), so N messages to one site pay one trip
+    /// through the network simulator instead of N. The receiving dispatcher
+    /// unpacks the batch and handles each message exactly as if it had
+    /// arrived alone; the per-kind traffic counters count every carried
+    /// message under its own kind.
     Batch(Vec<Msg>),
 }
 
@@ -403,6 +404,13 @@ impl NetMessage for Msg {
         // queue-delay spans to the right transaction.
         Msg::txn(self)
     }
+
+    fn batched(&self) -> &[Msg] {
+        match self {
+            Msg::Batch(msgs) => msgs,
+            _ => &[],
+        }
+    }
 }
 
 #[cfg(test)]
@@ -485,8 +493,8 @@ mod tests {
 
     #[test]
     fn conversation_ops_are_not_coordinator_responses() {
-        // Client commands are routed to the worker explicitly by the site
-        // dispatcher, not through the coordinator-response fast path, and
+        // Client commands reach the transaction's machine through their own
+        // dispatcher arm, not the coordinator-response one, and
         // client-bound replies are never routed by a site at all.
         assert!(!Msg::TxnOp {
             txn: txn(),

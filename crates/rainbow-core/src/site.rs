@@ -2,44 +2,43 @@
 //!
 //! A site is one node of the distributed database. It runs:
 //!
-//! * a **dispatcher thread** — the participant event loop — that drains the
-//!   site's network mailbox and routes messages: responses go to the
-//!   transaction coordinator waiting for them, and every participant
-//!   request is served inline. A copy access the CCP cannot grant yet (a
+//! * a **dispatcher thread** — the site event loop — that drains the
+//!   site's network mailbox and handles every message inline. It serves
+//!   the participant requests: a copy access the CCP cannot grant yet (a
 //!   2PL lock held by another transaction, an earlier pending pre-write
 //!   under TSO/MVTO) is *parked* with its deadline, and asked again after
 //!   each commit, abort or wound, so no thread ever blocks on a lock;
-//! * **one worker thread per in-flight transaction** whose home is this
-//!   site, exactly as in the paper ("When a new transaction arrives at a
-//!   Rainbow site, the site dedicates one thread to process it");
+//! * on the same loop, **one `TxnMachine` per transaction** whose home is
+//!   this site — the paper's "When a new transaction arrives at a Rainbow
+//!   site, the site dedicates one thread to process it", as a state
+//!   machine fed the client's commands and the protocol replies;
 //! * the **participant side** of the commit protocol for transactions
 //!   coordinated elsewhere, including a janitor that cleans up transactions
 //!   whose coordinator disappeared and the recovery path that resolves
 //!   in-doubt transactions after a crash.
 
-use crate::coordinator::reactor::{ReactorEvent, ReactorPool};
-use crate::coordinator::run_interactive;
+use crate::coordinator::{Host, TxnMachine};
 use crate::messages::{CopyAccessResult, Msg, OpReply};
 use crate::metrics::SiteMetrics;
-use crossbeam_channel::{Receiver, RecvTimeoutError, Sender};
+use crossbeam_channel::{Receiver, RecvTimeoutError};
 use parking_lot::{Mutex, RwLock};
 use rainbow_cc::{make_ccp, CcDecision, CcProtocol, TxnContext};
 use rainbow_commit::{Decision, Participant, ParticipantAction, ParticipantState, Vote};
 use rainbow_common::config::DatabaseSchema;
 use rainbow_common::history::HistorySink;
-use rainbow_common::protocol::{CoordinatorMode, ProtocolStack};
+use rainbow_common::protocol::ProtocolStack;
 use rainbow_common::txn::AbortCause;
 use rainbow_common::{
     ItemId, RainbowError, RainbowResult, SiteId, Timestamp, TimestampGenerator, TxnId, Value,
     Version,
 };
-use rainbow_net::{Envelope, NetHandle, NodeId};
+use rainbow_net::{Envelope, NetHandle, NodeId, Outbox};
 use rainbow_replication::{make_rcp, ReplicationControl};
 use rainbow_storage::{PowerLossFault, SiteStorage, StorageConfig};
-use rainbow_trace::{Phase, TraceEvent, Tracer, Track};
+use rainbow_trace::{Meter, Phase, TraceEvent, Tracer, Track};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -54,8 +53,7 @@ pub(crate) struct ParticipantEntry {
     pub last_activity: Instant,
 }
 
-/// State shared between the dispatcher and the transaction coordinators of
-/// one site.
+/// State shared between the dispatcher of one site and its handle.
 pub(crate) struct SiteShared {
     pub id: SiteId,
     pub node: NodeId,
@@ -67,7 +65,6 @@ pub(crate) struct SiteShared {
     pub net: NetHandle<Msg>,
     pub metrics: Arc<SiteMetrics>,
     pub participants: Mutex<HashMap<TxnId, ParticipantEntry>>,
-    pub pending_replies: Mutex<HashMap<TxnId, Sender<Envelope<Msg>>>>,
     pub decided: Mutex<HashMap<TxnId, Decision>>,
     /// Transactions that have already been decided (or cleaned up) at this
     /// site *as a participant*, with when. Late copy-access requests for
@@ -78,7 +75,6 @@ pub(crate) struct SiteShared {
     /// In-doubt transactions found during crash recovery, waiting for a
     /// status reply from their coordinator.
     pub in_doubt: Mutex<HashMap<TxnId, WriteSet>>,
-    pub txn_seq: AtomicU64,
     pub clock: TimestampGenerator,
     pub shutdown: Arc<AtomicBool>,
     /// The cluster-wide history sink the chaos laboratory snoops on, when
@@ -89,26 +85,12 @@ pub(crate) struct SiteShared {
     /// The cluster-wide trace sink, `None` when tracing is disabled (the
     /// default) — same dead-branch pattern as `history`.
     pub tracer: Option<Arc<Tracer>>,
-    /// The sharded reactor pool, populated at spawn when the stack selects
-    /// [`CoordinatorMode::Reactor`]. Empty in thread-per-conversation mode,
-    /// so the dispatcher's `get()` check is the only cost there.
-    pub reactor: OnceLock<ReactorPool>,
 }
 
 impl SiteShared {
     /// The CCP currently in force (replaced wholesale on crash recovery).
     pub fn ccp(&self) -> Arc<dyn CcProtocol> {
         self.ccp.read().clone()
-    }
-
-    /// Registers a reply channel for a coordinator worker.
-    pub fn register_reply_channel(&self, txn: TxnId, tx: Sender<Envelope<Msg>>) {
-        self.pending_replies.lock().insert(txn, tx);
-    }
-
-    /// Removes the reply channel when the coordinator worker finishes.
-    pub fn unregister_reply_channel(&self, txn: TxnId) {
-        self.pending_replies.lock().remove(&txn);
     }
 
     /// Sends a message from this site, ignoring network shutdown errors
@@ -272,21 +254,14 @@ impl SiteHandle {
             net,
             metrics,
             participants: Mutex::new(HashMap::new()),
-            pending_replies: Mutex::new(HashMap::new()),
             decided: Mutex::new(HashMap::new()),
             finished: Mutex::new(HashMap::new()),
             in_doubt: Mutex::new(HashMap::new()),
-            txn_seq: AtomicU64::new(0),
             clock: TimestampGenerator::new(id),
             shutdown: Arc::new(AtomicBool::new(false)),
             history,
             tracer,
-            reactor: OnceLock::new(),
         });
-
-        if shared.stack.coordinator == CoordinatorMode::Reactor {
-            let _ = shared.reactor.set(ReactorPool::spawn(&shared));
-        }
 
         // A restart from an existing durable log may come back with in-doubt
         // transactions (prepared, never decided before the previous process
@@ -306,6 +281,9 @@ impl SiteHandle {
         let dispatcher = Dispatcher {
             shared: Arc::clone(&shared),
             parked: Vec::new(),
+            machines: HashMap::new(),
+            outbox: Outbox::new(),
+            next_seq: 0,
         };
         let dispatcher = std::thread::Builder::new()
             .name(format!("rainbow-site-{}", id.0))
@@ -475,17 +453,14 @@ impl SiteHandle {
         ));
     }
 
-    /// Stops the dispatcher thread. Outstanding transaction workers finish
-    /// on their own (bounded by the protocol timeouts).
+    /// Stops the dispatcher thread. The transactions this site still
+    /// coordinates end first: a decision already made stands, every other
+    /// one aborts with a site failure, and the resulting messages are sent
+    /// before the thread exits.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::Relaxed);
         if let Some(thread) = self.dispatcher.take() {
             let _ = thread.join();
-        }
-        // Reactor mode: the event loops observe the flag within one tick,
-        // fail their in-flight conversations and drain their outboxes.
-        if let Some(pool) = self.shared.reactor.get() {
-            pool.join();
         }
         // Stop the background compaction thread (a no-op on the memory
         // engine, which never spawns one).
@@ -505,6 +480,10 @@ const JANITOR_EVERY: Duration = Duration::from_millis(200);
 /// The longest the dispatcher sleeps on an idle mailbox, so it notices the
 /// shutdown flag promptly.
 const IDLE_POLL: Duration = Duration::from_millis(25);
+
+/// Upper bound on the messages handled per mailbox drain, so a flooded
+/// mailbox cannot starve the deadlines and the outbox flush.
+const MAX_DRAIN: u64 = 512;
 
 /// The kind of copy access requested by the RCP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -537,39 +516,42 @@ struct CcpAccess {
     deadline: Instant,
 }
 
-/// The participant event loop of one site. One thread drains the mailbox
-/// and serves every request inline; nothing it calls blocks on another
-/// transaction. A copy access that has to wait is parked, and asked again
-/// after every event that can release or wound CCP state.
+/// The event loop of one site. One thread drains the mailbox and handles
+/// every message inline; nothing it calls blocks on another transaction. A
+/// copy access that has to wait is parked, and asked again after every
+/// event that can release or wound CCP state. The transactions this site
+/// coordinates live here as [`TxnMachine`]s; their site-bound messages
+/// leave in one outbox flush per drain.
 struct Dispatcher {
     shared: Arc<SiteShared>,
     /// Copy accesses waiting in the CCP, in arrival order.
     parked: Vec<CcpAccess>,
+    /// The open transactions whose home is this site.
+    machines: HashMap<TxnId, TxnMachine>,
+    /// The machines' site-bound messages, flushed after each drain.
+    outbox: Outbox<Msg>,
+    /// Sequence number of the next transaction this site opens.
+    next_seq: u64,
 }
 
 impl Dispatcher {
     fn run(mut self, mailbox: Receiver<Envelope<Msg>>) {
         let mut next_janitor = Instant::now() + JANITOR_EVERY;
-        loop {
-            if self.shared.shutdown.load(Ordering::Relaxed) {
-                return;
-            }
+        let mut next_machine: Option<Instant> = None;
+        while !self.shared.shutdown.load(Ordering::Relaxed) {
+            // No fixed tick: sleep until a message arrives or the earliest
+            // deadline of a parked access, a machine or the janitor.
             let now = Instant::now();
             let wake = self
                 .parked
                 .iter()
                 .map(|access| access.deadline)
+                .chain(next_machine)
                 .fold(next_janitor.min(now + IDLE_POLL), Instant::min);
             match mailbox.recv_timeout(wake.saturating_duration_since(now)) {
-                Ok(envelope) => {
-                    let unblocks = may_unblock_parked(&envelope.payload);
-                    self.dispatch(envelope);
-                    if unblocks {
-                        self.retry_parked();
-                    }
-                }
+                Ok(envelope) => self.drain(envelope, &mailbox),
                 Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => return,
+                Err(RecvTimeoutError::Disconnected) => break,
             }
             let now = Instant::now();
             if now >= next_janitor {
@@ -579,7 +561,109 @@ impl Dispatcher {
             } else if self.parked_due(now) {
                 self.retry_parked();
             }
+            next_machine = self.run_machine_deadlines(now);
+            self.flush();
         }
+        self.fail_machines();
+    }
+
+    /// Handles `first` and whatever else the mailbox already holds, up to
+    /// [`MAX_DRAIN`] messages in all.
+    fn drain(&mut self, first: Envelope<Msg>, mailbox: &Receiver<Envelope<Msg>>) {
+        let mut drained = 1;
+        self.handle(first);
+        while drained < MAX_DRAIN {
+            let Ok(envelope) = mailbox.try_recv() else {
+                break;
+            };
+            self.handle(envelope);
+            drained += 1;
+        }
+        if let Some(tracer) = self.shared.tracer.as_ref() {
+            tracer.record_meter(Meter::DispatchDrain, drained);
+        }
+    }
+
+    fn handle(&mut self, envelope: Envelope<Msg>) {
+        let unblocks = may_unblock_parked(&envelope.payload);
+        self.dispatch(envelope);
+        if unblocks {
+            self.retry_parked();
+        }
+    }
+
+    /// Sends the machines' queued messages, one envelope per destination.
+    fn flush(&mut self) {
+        let stats = self
+            .outbox
+            .flush(&self.shared.net, self.shared.node, Msg::Batch);
+        if stats.envelopes > 0 {
+            if let Some(tracer) = self.shared.tracer.as_ref() {
+                tracer.record_meter(Meter::DispatchBatchSize, stats.largest_batch as u64);
+            }
+        }
+    }
+
+    /// Opens a transaction for `client` with this site as its home.
+    fn begin(&mut self, client: NodeId, label: String, request: u64) {
+        let shared = &self.shared;
+        SiteMetrics::bump(&shared.metrics.home_transactions);
+        let txn = TxnId::new(shared.id, self.next_seq);
+        self.next_seq += 1;
+        let machine = TxnMachine::begin(shared, txn, shared.clock.next(), label, client, request);
+        self.machines.insert(txn, machine);
+    }
+
+    /// Hands a client command or a protocol reply to the machine of its
+    /// transaction. A command for a transaction this site no longer
+    /// coordinates (it finished or idled out) is answered `Gone`; a late
+    /// reply is dropped.
+    fn deliver(&mut self, from: NodeId, msg: Msg) {
+        let Some(txn) = msg.txn() else { return };
+        let Some(machine) = self.machines.get_mut(&txn) else {
+            if let Msg::TxnOp { .. } = msg {
+                let reply = OpReply::Gone;
+                self.shared.send(from, Msg::TxnOpReply { txn, reply });
+            }
+            return;
+        };
+        let mut host = Host {
+            shared: &self.shared,
+            outbox: &mut self.outbox,
+        };
+        machine.on_message(&mut host, from, msg);
+        if machine.is_done() {
+            self.machines.remove(&txn);
+        }
+    }
+
+    /// Wakes the machines whose deadline has passed, drops the finished
+    /// ones, and returns the earliest deadline still ahead.
+    fn run_machine_deadlines(&mut self, now: Instant) -> Option<Instant> {
+        let mut host = Host {
+            shared: &self.shared,
+            outbox: &mut self.outbox,
+        };
+        let mut next: Option<Instant> = None;
+        self.machines.retain(|_, machine| {
+            let deadline = machine.on_time(&mut host, now);
+            next = next.into_iter().chain(deadline).min();
+            deadline.is_some()
+        });
+        next
+    }
+
+    /// Shutdown: ends every transaction this site still coordinates and
+    /// sends what that produces.
+    fn fail_machines(&mut self) {
+        let mut host = Host {
+            shared: &self.shared,
+            outbox: &mut self.outbox,
+        };
+        for (_, mut machine) in self.machines.drain() {
+            machine.fail_site_down(&mut host);
+        }
+        self.flush();
     }
 
     /// Whether a parked access has reached its deadline, or waits in a CCP
@@ -595,19 +679,13 @@ impl Dispatcher {
     }
 
     fn dispatch(&mut self, envelope: Envelope<Msg>) {
-        // Responses go straight to the coordinator waiting for them: the
-        // owning reactor in reactor mode, the conversation worker's reply
-        // channel otherwise.
-        if envelope.payload.is_coordinator_response() {
-            route_to_coordinator(&self.shared, envelope);
-            return;
-        }
         let from = envelope.from;
         match envelope.payload {
-            Msg::TxnOp { txn, .. } => route_txn_op(&self.shared, txn, envelope),
-            Msg::TxnBegin { request, label } => {
-                begin_conversation(&self.shared, from, label, request)
-            }
+            Msg::TxnBegin { request, label } => self.begin(from, label, request),
+            // Client commands and the replies of copy holders and
+            // participants go to the machine of their transaction.
+            msg @ Msg::TxnOp { .. } => self.deliver(from, msg),
+            msg if msg.is_coordinator_response() => self.deliver(from, msg),
             Msg::CopyRead {
                 txn,
                 ts,
@@ -634,11 +712,11 @@ impl Dispatcher {
                 *self.shared.schema.write() = database;
             }
             Msg::Batch(msgs) => {
-                // A coalesced envelope from a reactor tick. Prepares and
+                // A coalesced envelope from a coordinator's outbox flush (or
+                // a participant's batched votes and acks). Prepares and
                 // commit decisions are pulled out and handled as groups so
                 // their WAL forces ride one fsync each; everything else goes
-                // through the normal per-message path (which also routes any
-                // coordinator responses the batch carried).
+                // through the normal per-message path.
                 let mut prepares = Vec::new();
                 let mut commits = Vec::new();
                 let mut rest = Vec::new();
@@ -667,9 +745,8 @@ impl Dispatcher {
                     });
                 }
             }
-            // Messages a site never receives (or that only matter to
-            // clients / the name server) are ignored; coordinator responses
-            // were routed above.
+            // Client-bound replies and the name-server query never reach a
+            // site; coordinator replies were delivered above.
             Msg::TxnBegan { .. }
             | Msg::TxnOpReply { .. }
             | Msg::TxnDone { .. }
@@ -912,8 +989,8 @@ impl Dispatcher {
     /// Handles a batch of PREPARE requests that arrived in one coalesced
     /// envelope: each transaction is validated and staged individually, but
     /// the prepare records of every YES-voter are forced with a **single**
-    /// [`rainbow_storage::SiteStorage::prepare_many`] group append — the
-    /// group-commit half of the reactor pipeline. Votes travel back to the
+    /// [`rainbow_storage::SiteStorage::prepare_many`] group append — group
+    /// commit across the transactions of one outbox flush. Votes travel back to the
     /// coordinator node in one batch envelope when there is more than one.
     fn handle_prepare_batch(&mut self, from: NodeId, prepares: Vec<(TxnId, Timestamp, WriteSet)>) {
         let shared = Arc::clone(&self.shared);
@@ -1164,74 +1241,6 @@ fn may_unblock_parked(msg: &Msg) -> bool {
             | Msg::AcpStatusReply { .. }
             | Msg::Batch(_)
     )
-}
-
-/// Routes a coordinator response to the coordinator waiting for it.
-fn route_to_coordinator(shared: &SiteShared, envelope: Envelope<Msg>) {
-    let Some(txn) = envelope.payload.txn() else {
-        return;
-    };
-    if let Some(pool) = shared.reactor.get() {
-        pool.route(txn.seq, ReactorEvent::Deliver(envelope));
-        return;
-    }
-    if let Some(tx) = shared.pending_replies.lock().get(&txn) {
-        let _ = tx.send(envelope);
-    }
-}
-
-/// Routes a client command to the coordinator driving the conversation.
-/// When no worker is registered any more (the conversation idled out and
-/// was aborted, or the site crashed and recovered), tells the client instead
-/// of leaving it to its timeout; the reactor path answers `Gone` itself.
-fn route_txn_op(shared: &SiteShared, txn: TxnId, envelope: Envelope<Msg>) {
-    if let Some(pool) = shared.reactor.get() {
-        pool.route(txn.seq, ReactorEvent::Deliver(envelope));
-        return;
-    }
-    let client = envelope.from;
-    let routed = match shared.pending_replies.lock().get(&txn) {
-        Some(tx) => tx.send(envelope).is_ok(),
-        None => false,
-    };
-    if !routed {
-        shared.send(
-            client,
-            Msg::TxnOpReply {
-                txn,
-                reply: OpReply::Gone,
-            },
-        );
-    }
-}
-
-/// Starts a client conversation coordinated by this site.
-fn begin_conversation(shared: &Arc<SiteShared>, client: NodeId, label: String, request: u64) {
-    SiteMetrics::bump(&shared.metrics.home_transactions);
-    if let Some(pool) = shared.reactor.get() {
-        // Reactor mode: allocate the id here (its sequence number pins the
-        // transaction to a reactor) and hand the conversation to the owning
-        // event loop.
-        let txn = TxnId::new(shared.id, shared.txn_seq.fetch_add(1, Ordering::Relaxed));
-        let ts = shared.clock.next();
-        pool.route(
-            txn.seq,
-            ReactorEvent::Begin {
-                txn,
-                ts,
-                label,
-                client,
-                request,
-            },
-        );
-    } else {
-        let worker_shared = Arc::clone(shared);
-        // "The site dedicates one thread to process it." The thread drives
-        // an interactive conversation instead of a fixed op list.
-        let _ = std::thread::Builder::new()
-            .name(format!("rainbow-txn-{}", shared.id.0))
-            .spawn(move || run_interactive(worker_shared, label, client, request));
-    }
 }
 
 /// The denial a refused copy access carries: a lock conflict with no known

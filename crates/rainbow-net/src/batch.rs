@@ -1,11 +1,12 @@
-//! Per-tick message coalescing for event-loop senders.
+//! Per-drain message coalescing for event-loop senders.
 //!
-//! A reactor tick can produce many protocol messages bound for the same
-//! site — quorum requests for several transactions, a handful of commit
-//! decisions, prepared-write fan-outs. Sending each one separately pays a
-//! full trip through the network simulator (scheduling, latency draw,
-//! counter bookkeeping) per message. An [`Outbox`] instead queues messages
-//! per destination during the tick and flushes once at the end: a lone
+//! One pass of a site's event loop over its mailbox can produce many
+//! protocol messages bound for the same site — quorum requests for several
+//! transactions, a handful of commit decisions, prepared-write fan-outs.
+//! Sending each one separately pays a full trip through the network
+//! simulator (scheduling, latency draw, counter bookkeeping) per message.
+//! An [`Outbox`] instead queues messages per destination during the pass
+//! and flushes once at the end: a lone
 //! message is sent as itself, while two or more for one destination are
 //! wrapped into a single batch envelope by a caller-supplied constructor
 //! (the core's `Msg::Batch`).
@@ -17,8 +18,8 @@
 use crate::network::{NetHandle, NetMessage};
 use crate::node::NodeId;
 
-/// Statistics of one [`Outbox::flush`], fed to the reactor's batch-size
-/// histogram.
+/// Statistics of one [`Outbox::flush`], fed to the dispatcher's
+/// batch-size histogram.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlushStats {
     /// Envelopes actually handed to the network.
@@ -29,10 +30,10 @@ pub struct FlushStats {
     pub largest_batch: usize,
 }
 
-/// A per-destination queue of outbound messages, flushed once per tick.
+/// A per-destination queue of outbound messages, flushed once per pass.
 #[derive(Debug)]
 pub struct Outbox<M> {
-    // A Vec keyed by first-push order: a tick talks to a handful of sites,
+    // A Vec keyed by first-push order: a pass talks to a handful of sites,
     // so a linear scan beats a map — and flush order stays deterministic.
     queued: Vec<(NodeId, Vec<M>)>,
 }
@@ -105,6 +106,7 @@ mod tests {
     #[derive(Debug, Clone, PartialEq)]
     enum TestMsg {
         One(u32),
+        Other(u32),
         Many(Vec<TestMsg>),
     }
 
@@ -112,12 +114,20 @@ mod tests {
         fn kind(&self) -> &'static str {
             match self {
                 TestMsg::One(_) => "ONE",
+                TestMsg::Other(_) => "OTHER",
                 TestMsg::Many(_) => "MANY",
             }
         }
 
         fn size_hint(&self) -> usize {
             16
+        }
+
+        fn batched(&self) -> &[TestMsg] {
+            match self {
+                TestMsg::Many(msgs) => msgs,
+                _ => &[],
+            }
         }
     }
 
@@ -154,6 +164,29 @@ mod tests {
         // An empty flush sends nothing.
         let stats = outbox.flush(&handle, from, TestMsg::Many);
         assert_eq!(stats, FlushStats::default());
+        network.shutdown();
+    }
+
+    #[test]
+    fn batched_messages_count_under_their_own_kinds() {
+        let mut network: SimNetwork<TestMsg> = SimNetwork::new(NetworkConfig::perfect());
+        let from = NodeId::Site(rainbow_common::SiteId(0));
+        let to = NodeId::Site(rainbow_common::SiteId(1));
+        network.register(from);
+        let rx = network.register(to);
+
+        let mut outbox = Outbox::new();
+        outbox.push(to, TestMsg::One(1));
+        outbox.push(to, TestMsg::Other(2));
+        outbox.flush(&network.handle(), from, TestMsg::Many);
+        rx.recv_timeout(Duration::from_secs(2)).unwrap();
+
+        let counters = network.counters();
+        assert_eq!(counters.kind("ONE"), 1, "each carried message counts");
+        assert_eq!(counters.kind("OTHER"), 1, "under its own kind");
+        assert_eq!(counters.kind("MANY"), 1, "and the envelope once");
+        assert_eq!(counters.sent(), 1, "sent counts envelopes");
+        assert_eq!(counters.link(from, to), 1, "so do the links");
         network.shutdown();
     }
 }

@@ -41,6 +41,13 @@ impl NetworkCounters {
         *self.by_link.lock().entry((from, to)).or_insert(0) += 1;
     }
 
+    /// Records one logical message carried inside a batch envelope: it
+    /// counts under its own kind, while `sent` and the per-link counts
+    /// keep counting the envelope (booked by [`NetworkCounters::record_sent`]).
+    pub fn record_carried(&self, kind: &str) {
+        *self.by_kind.lock().entry(kind.to_owned()).or_insert(0) += 1;
+    }
+
     /// Records a successful delivery.
     pub fn record_delivered(&self) {
         self.delivered.fetch_add(1, Ordering::Relaxed);

@@ -47,6 +47,13 @@ pub trait NetMessage: Send + Clone + 'static {
     fn txn(&self) -> Option<TxnId> {
         None
     }
+
+    /// The logical messages this one carries when it is a batch envelope;
+    /// empty (the default) for a plain message. The counters book each of
+    /// them under its own kind.
+    fn batched(&self) -> &[Self] {
+        &[]
+    }
 }
 
 /// A message in flight: payload plus addressing metadata.
@@ -196,12 +203,13 @@ impl<M: NetMessage> NetHandle<M> {
             return Ok(id);
         }
 
-        shared.counters.record_sent(
-            from,
-            to,
-            envelope.payload.kind(),
-            envelope.payload.size_hint(),
-        );
+        let payload = &envelope.payload;
+        shared
+            .counters
+            .record_sent(from, to, payload.kind(), payload.size_hint());
+        for carried in payload.batched() {
+            shared.counters.record_carried(carried.kind());
+        }
 
         // Crash / partition checks at send time.
         if shared.faults.is_crashed(from) || shared.faults.is_crashed(to) {

@@ -216,8 +216,8 @@ impl VersionedStore {
 /// The background checkpoint-compaction worker of one disk-backed site.
 ///
 /// Commits used to run compaction inline when the log outgrew its
-/// threshold, stalling whichever transaction happened to trip it — and,
-/// on the reactor coordinator, stalling a whole reactor tick. The worker
+/// threshold, stalling whichever transaction happened to trip it — and
+/// with it the site's whole event loop. The worker
 /// moves that work onto its own thread: the commit path merely *nudges*
 /// it, and it checkpoints off to the side while commits keep appending.
 #[derive(Debug)]

@@ -136,23 +136,23 @@ impl Phase {
 /// rather than durations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Serialize, Deserialize)]
 pub enum Meter {
-    /// Events drained from one reactor's queue in a single tick — the
-    /// instantaneous backlog of the sharded coordinator.
-    ReactorQueueDepth,
+    /// Messages one site dispatcher took from its mailbox in a single
+    /// drain — the instantaneous backlog of the site event loop.
+    DispatchDrain,
     /// Logical messages coalesced into the largest batch envelope of one
-    /// reactor tick's outbox flush.
-    ReactorBatchSize,
+    /// dispatcher outbox flush.
+    DispatchBatchSize,
 }
 
 impl Meter {
     /// All meters, in breakdown-table order.
-    pub const ALL: [Meter; 2] = [Meter::ReactorQueueDepth, Meter::ReactorBatchSize];
+    pub const ALL: [Meter; 2] = [Meter::DispatchDrain, Meter::DispatchBatchSize];
 
     /// The stable key used in stats snapshots and JSON output.
     pub fn name(&self) -> &'static str {
         match self {
-            Meter::ReactorQueueDepth => "reactor-queue-depth",
-            Meter::ReactorBatchSize => "reactor-batch-size",
+            Meter::DispatchDrain => "dispatch-drain",
+            Meter::DispatchBatchSize => "dispatch-batch-size",
         }
     }
 

@@ -453,14 +453,14 @@ mod tests {
     #[test]
     fn meter_histograms_record_raw_magnitudes() {
         let tracer = Tracer::new(TraceConfig::histograms_only());
-        tracer.record_meter(Meter::ReactorQueueDepth, 3);
-        tracer.record_meter(Meter::ReactorQueueDepth, 17);
-        tracer.record_meter(Meter::ReactorBatchSize, 8);
+        tracer.record_meter(Meter::DispatchDrain, 3);
+        tracer.record_meter(Meter::DispatchDrain, 17);
+        tracer.record_meter(Meter::DispatchBatchSize, 8);
         let stats = tracer.meter_stats();
         assert_eq!(stats.len(), 2);
-        assert_eq!(stats["reactor-queue-depth"].count, 2);
-        assert_eq!(stats["reactor-batch-size"].count, 1);
-        assert!(!tracer.meter_histogram(Meter::ReactorBatchSize).is_empty());
+        assert_eq!(stats["dispatch-drain"].count, 2);
+        assert_eq!(stats["dispatch-batch-size"].count, 1);
+        assert!(!tracer.meter_histogram(Meter::DispatchBatchSize).is_empty());
         // An untouched tracer reports no meters at all.
         let idle = Tracer::new(TraceConfig::sample_all());
         assert!(idle.meter_stats().is_empty());

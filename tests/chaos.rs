@@ -91,9 +91,7 @@ fn spec_replay_and_interactive_conversations_emit_identical_history_shapes() {
     let stack = ProtocolStack::rainbow_default()
         .with_lock_wait_timeout(Duration::from_millis(200))
         .with_quorum_timeout(Duration::from_millis(500))
-        .with_commit_timeout(Duration::from_millis(500))
-        .with_parallel_quorums_from_env()
-        .with_coordinator_from_env();
+        .with_commit_timeout(Duration::from_millis(500));
     let base = ClusterConfig::quick(3, 4, 3).unwrap();
     let cluster = Cluster::start(ClusterConfig {
         stack,

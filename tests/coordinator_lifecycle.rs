@@ -1,36 +1,35 @@
-//! Lifecycle guarantees of the sharded reactor coordinator
-//! (`CoordinatorMode::Reactor`), beyond the spec-vs-handle differential:
+//! Lifecycle guarantees of the coordinator — one `TxnMachine` per
+//! transaction on its home site's event loop — beyond the spec-vs-handle
+//! differential:
 //!
-//! * **affinity under load**: a thousand concurrent conversations — all
-//!   pinned to a handful of reactor shards by `txn.seq` — each complete
-//!   with exactly one terminal result, and the committed increments are
-//!   exactly reflected in the final database state;
+//! * **ownership under load**: a thousand concurrent conversations each
+//!   complete with exactly one terminal result, and the committed
+//!   increments are exactly reflected in the final database state;
 //! * **drop safety**: an unfinished `Txn` dropped mid-conversation aborts
-//!   through the reactor and releases every CCP resource at every site;
+//!   and releases every CCP resource at every site;
 //! * **vanished clients**: a client that disappears without even a
-//!   drop-abort is idled out by the owning reactor's tick-time janitor at
-//!   the same horizon the thread-per-conversation path uses;
+//!   drop-abort is idled out by its machine's deadline at the janitor
+//!   horizon;
 //! * **clean shutdown**: tearing the cluster down with conversations still
-//!   in flight joins every reactor thread without hanging.
+//!   in flight stops every site event loop without hanging.
 
-use rainbow_common::protocol::{CoordinatorMode, ProtocolStack};
+use rainbow_common::protocol::ProtocolStack;
 use rainbow_common::txn::TxnSpec;
 use rainbow_common::{ItemId, Operation, Value};
 use rainbow_core::{Cluster, ClusterConfig};
 use std::time::Duration;
 
-fn reactor_stack() -> ProtocolStack {
+fn stack() -> ProtocolStack {
     ProtocolStack::rainbow_default()
         .with_lock_wait_timeout(Duration::from_millis(200))
         .with_quorum_timeout(Duration::from_millis(600))
         .with_commit_timeout(Duration::from_millis(600))
-        .with_coordinator(CoordinatorMode::Reactor)
 }
 
-fn reactor_cluster(sites: usize, items: usize) -> Cluster {
+fn start_cluster(sites: usize, items: usize) -> Cluster {
     let config = ClusterConfig::quick(sites, items, sites)
         .unwrap()
-        .with_stack(reactor_stack())
+        .with_stack(stack())
         .with_client_timeout(Duration::from_secs(10));
     Cluster::start(config).unwrap()
 }
@@ -53,14 +52,14 @@ fn drain_cc_entries(cluster: &Cluster) -> bool {
 /// most commit: every one must come back with exactly one terminal
 /// outcome, and the final state must reflect exactly the committed
 /// increments — the observable form of "each transaction is owned by
-/// exactly one reactor shard".
+/// exactly one machine".
 #[test]
-fn a_thousand_concurrent_conversations_complete_on_the_reactor() {
+fn a_thousand_concurrent_conversations_complete() {
     const CLIENTS: usize = 1000;
     // One item per client: the burst measures conversation lifecycle and
-    // shard ownership, not 2PL contention (the chaos suite covers that).
+    // machine ownership, not 2PL contention (the chaos suite covers that).
     const ITEMS: usize = CLIENTS;
-    let cluster = reactor_cluster(3, ITEMS);
+    let cluster = start_cluster(3, ITEMS);
 
     let results: Vec<_> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..CLIENTS)
@@ -122,8 +121,8 @@ fn a_thousand_concurrent_conversations_complete_on_the_reactor() {
 }
 
 #[test]
-fn dropped_txn_on_the_reactor_path_releases_every_lock() {
-    let cluster = reactor_cluster(3, 8);
+fn dropped_txn_releases_every_lock() {
+    let cluster = start_cluster(3, 8);
     let mut client = cluster.client();
     {
         let mut txn = client.begin("doomed").unwrap();
@@ -149,8 +148,8 @@ fn dropped_txn_on_the_reactor_path_releases_every_lock() {
 }
 
 #[test]
-fn vanished_client_is_idled_out_by_its_reactor() {
-    // Tight timeouts keep the reactor's idle horizon
+fn vanished_client_is_idled_out_by_its_machine() {
+    // Tight timeouts keep the machine's idle horizon
     // ((lock + quorum + commit) * 3) test-sized.
     let config = ClusterConfig::quick(3, 4, 3)
         .unwrap()
@@ -158,8 +157,7 @@ fn vanished_client_is_idled_out_by_its_reactor() {
             ProtocolStack::rainbow_default()
                 .with_lock_wait_timeout(Duration::from_millis(50))
                 .with_quorum_timeout(Duration::from_millis(100))
-                .with_commit_timeout(Duration::from_millis(100))
-                .with_coordinator(CoordinatorMode::Reactor),
+                .with_commit_timeout(Duration::from_millis(100)),
         )
         .with_client_timeout(Duration::from_secs(2));
     let cluster = Cluster::start(config).unwrap();
@@ -167,8 +165,7 @@ fn vanished_client_is_idled_out_by_its_reactor() {
     let mut txn = client.begin("vanishing").unwrap();
     txn.increment("x0", 1).unwrap();
     // The client vanishes without even a drop-abort (process death): the
-    // owning reactor's tick janitor must abort the machine at its idle
-    // horizon.
+    // machine's idle deadline must abort it at the horizon.
     std::mem::forget(txn);
     assert!(
         drain_cc_entries(&cluster),
@@ -180,11 +177,11 @@ fn vanished_client_is_idled_out_by_its_reactor() {
 }
 
 /// Shutdown with conversations still open must fail them site-down and
-/// join every reactor thread — bounded, never hanging on an in-flight
+/// stop every site event loop — bounded, never hanging on an in-flight
 /// machine.
 #[test]
-fn shutdown_with_in_flight_conversations_joins_every_reactor() {
-    let mut cluster = reactor_cluster(3, 8);
+fn shutdown_with_in_flight_conversations_stops_every_site() {
+    let mut cluster = start_cluster(3, 8);
     {
         let mut client = cluster.client();
         for i in 0..4 {
@@ -202,7 +199,7 @@ fn shutdown_with_in_flight_conversations_joins_every_reactor() {
     });
     assert!(
         done_rx.recv_timeout(Duration::from_secs(30)).is_ok(),
-        "shutdown must join all reactor threads despite in-flight conversations"
+        "shutdown must stop every site despite in-flight conversations"
     );
     teardown.join().unwrap();
 }

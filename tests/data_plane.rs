@@ -167,7 +167,6 @@ fn stack(parallel: bool) -> ProtocolStack {
         .with_quorum_timeout(Duration::from_millis(900))
         .with_commit_timeout(Duration::from_millis(900))
         .with_parallel_quorums(parallel)
-        .with_coordinator_from_env()
 }
 
 type WorkloadObservation = (Vec<BTreeMap<ItemId, Value>>, Vec<(ItemId, Value)>);

@@ -13,8 +13,6 @@ fn stack() -> ProtocolStack {
         .with_lock_wait_timeout(Duration::from_millis(150))
         .with_quorum_timeout(Duration::from_millis(400))
         .with_commit_timeout(Duration::from_millis(400))
-        .with_parallel_quorums_from_env()
-        .with_coordinator_from_env()
 }
 
 fn session(sites: usize, items: usize, degree: usize, rcp: RcpKind) -> Session {

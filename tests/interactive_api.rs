@@ -27,7 +27,6 @@ fn stack(rcp: RcpKind, parallel: bool) -> ProtocolStack {
         .with_quorum_timeout(Duration::from_millis(600))
         .with_commit_timeout(Duration::from_millis(600))
         .with_parallel_quorums(parallel)
-        .with_coordinator_from_env()
 }
 
 fn cluster(rcp: RcpKind, parallel: bool) -> Cluster {

@@ -13,9 +13,7 @@ fn run_and_check(ccp: CcpKind, transactions: usize, mpl: usize) {
         .with_ccp(ccp)
         .with_lock_wait_timeout(Duration::from_millis(150))
         .with_quorum_timeout(Duration::from_millis(500))
-        .with_commit_timeout(Duration::from_millis(500))
-        .with_parallel_quorums_from_env()
-        .with_coordinator_from_env();
+        .with_commit_timeout(Duration::from_millis(500));
     let config = ClusterConfig::quick(3, 8, 3).unwrap().with_stack(stack);
     let cluster = Cluster::start(config).unwrap();
     let params = WorkloadProfile::WriteHeavy.params(
@@ -30,7 +28,7 @@ fn run_and_check(ccp: CcpKind, transactions: usize, mpl: usize) {
     assert!(results.iter().any(|r| r.committed()));
 
     // Give in-flight decision messages a moment to land, then insist that no
-    // CCP resources remain held anywhere. Coordinator workers of timed-out
+    // CCP resources remain held anywhere. Coordinators of timed-out
     // transactions may still be distributing aborts when `run_workload`
     // returns (slowly, on a loaded single-CPU CI machine), and rare
     // decision-vs-access races are resolved by the janitor (by design, past
